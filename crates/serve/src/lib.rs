@@ -178,12 +178,6 @@ pub struct ServeConfig {
     /// everywhere — [`Server::new`] and batch admission both clamp, so a
     /// zero written via a struct literal can never reach the pool.
     pub workers: usize,
-    /// Plan mode every statement executes under. Defaults to
-    /// [`PlanMode::serving`] — the vectorized columnar pipeline, which
-    /// executes the same physical plans as [`PlanMode::Optimized`] (so
-    /// plan-cache sharing and result identity are unaffected) but moves
-    /// data in batches.
-    pub mode: PlanMode,
     /// Serve repeated statements from the shared result cache and dedup
     /// concurrent executions of the same statement. Sound because the
     /// snapshot is frozen for the server's lifetime; disable only to
@@ -222,7 +216,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            mode: PlanMode::serving(),
             cache_results: true,
             result_cache_cap: 1024,
             oversubscribe: false,
@@ -268,7 +261,8 @@ impl ServeConfig {
 /// The outcome of one served statement.
 #[derive(Debug, Clone)]
 pub struct StatementOutcome {
-    /// The rows, exactly as a direct `execute_with_stats` would produce.
+    /// The rows, exactly as a direct [`seed_sqlengine::execute`] would
+    /// produce.
     pub result: ResultSet,
     /// Execution statistics. For a result-cache hit these are the cached
     /// execution's stats (the work the statement costs), keeping VES-style
@@ -315,8 +309,8 @@ pub struct SlowQuery {
     /// The execution's deterministic [`ExecStats::cost`], for correlating
     /// measured time against modeled work.
     pub cost: f64,
-    /// The statement's rendered physical plan (`EXPLAIN` text) under the
-    /// server's plan mode.
+    /// The statement's rendered physical plan (`EXPLAIN` text) under
+    /// [`PlanMode::serving`].
     pub plan: String,
     /// The per-operator wall-clock profile of the recorded execution.
     pub profile: String,
@@ -644,7 +638,7 @@ impl ServerCore {
         if self.results.stripe_cap == 0 {
             // Caching (and dedup) off: the known-miss path does no cache
             // round-trips at all.
-            let (result, stats) = self.plans.execute(db, sql, self.config.mode)?;
+            let (result, stats) = self.plans.execute(db, sql, PlanMode::serving())?;
             return Ok(StatementOutcome { result, stats, from_result_cache: false });
         }
         // The cache key's data-dependency half: the versions (generations)
@@ -715,7 +709,7 @@ impl ServerCore {
         // Canonical executions run under the per-operator profiler: rows
         // and stats are bit-identical to an unprofiled run, and the profile
         // is what the slow-query log records.
-        let executed = prepared.execute_profiled(db, self.config.mode);
+        let executed = prepared.execute_profiled(db, PlanMode::serving());
         let shard = &self.results.shards[idx];
         let published = match &executed {
             Ok((result, stats, _profile)) => {
@@ -806,7 +800,7 @@ impl ServerCore {
         // Slow path only: re-rendering the plan replays the shared plan
         // cache, so no statement is ever re-planned for the log.
         let plan = prepared
-            .explain(db, self.config.mode)
+            .explain(db, PlanMode::serving())
             .unwrap_or_else(|e| format!("(plan unavailable: {e})"));
         self.slow_log.record(SlowQuery {
             sql: sql.to_string(),
@@ -1318,7 +1312,7 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seed_sqlengine::{execute_statement, execute_with_stats, execute_with_stats_mode, Value};
+    use seed_sqlengine::{execute, execute_statement, execute_with_stats_mode, Value};
 
     fn snapshot() -> Arc<Database> {
         let mut db = Database::new("serve_test");
@@ -1387,15 +1381,13 @@ mod tests {
             assert_eq!(outcomes.len(), stmts.len());
             for (sql, outcome) in stmts.iter().zip(&outcomes) {
                 let o = outcome.as_ref().unwrap();
-                // Rows match direct execution in *any* mode (row-identity is
-                // mode-independent); costs are compared in the server's own
-                // serving mode, since counters are per-mode deterministic.
-                let (direct, _) = execute_with_stats(&db, sql).unwrap();
-                let (_, serving_stats) =
+                // Rows and cost match direct serial execution in the same
+                // production mode.
+                let (direct, direct_stats) =
                     execute_with_stats_mode(&db, sql, PlanMode::serving()).unwrap();
                 assert_eq!(o.result.rows, direct.rows, "workers={workers} sql={sql}");
                 assert_eq!(o.result.columns, direct.columns);
-                assert_eq!(o.stats.cost(), serving_stats.cost(), "workers={workers} sql={sql}");
+                assert_eq!(o.stats.cost(), direct_stats.cost(), "workers={workers} sql={sql}");
             }
         }
     }
@@ -1522,7 +1514,7 @@ mod tests {
         assert_eq!(server.result_cache_evictions(), 2);
         // Correctness is cache-independent: the re-executed statement
         // returns the same rows it did before eviction.
-        let before = execute_with_stats(&server.database(), b).unwrap().0;
+        let before = execute(&server.database(), b).unwrap();
         assert_eq!(server.execute(b).unwrap().result.rows, before.rows);
     }
 

@@ -1,7 +1,7 @@
 //! Columnar data representation: typed value arrays with null bitmaps and
 //! the [`DataChunk`] batches that flow between columnar operators.
 //!
-//! The row executor moves `Vec<Value>` rows one at a time; the columnar
+//! The nested-loop oracle moves `Vec<Value>` rows one at a time; the columnar
 //! executor ([`crate::plan::PlanMode::Columnar`]) moves [`DataChunk`]s of up
 //! to [`BATCH_SIZE`] rows, each column stored as a [`ColumnArray`]. A column
 //! whose non-null cells all share one storage class is stored as a typed

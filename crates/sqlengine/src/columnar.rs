@@ -1,13 +1,12 @@
-//! Vectorized execution ([`crate::PlanMode::Columnar`]): the physical plans
-//! of the optimized mode, executed over [`DataChunk`] batches instead of one
-//! row at a time.
+//! Vectorized execution ([`crate::PlanMode::Columnar`]), the production
+//! executor: physical plans executed over [`DataChunk`] batches instead of
+//! one row at a time.
 //!
 //! ## Design
 //!
-//! The columnar pipeline reuses the planner verbatim — it executes the same
-//! [`PlanNode`] tree `PlanMode::Optimized` would — and replaces the *data
-//! movement*: scans produce column arrays, filters refine a [`SelChunk`]
-//! selection vector over shared chunks (a conjunction of predicates fuses
+//! The columnar pipeline executes the planner's [`PlanNode`] tree verbatim
+//! and moves data in batches: scans produce column arrays, filters refine a
+//! [`SelChunk`] selection vector over shared chunks (a conjunction of predicates fuses
 //! into one selection; survivors are gathered only at pipeline boundaries or
 //! below the [`crate::chunk::SELECTION_COMPACT_DENOM`] selectivity
 //! threshold), hash joins build and probe over compacted column slices, and
@@ -15,7 +14,7 @@
 //! accumulators (`AggAcc`). Everything the batch layer cannot express
 //! (subqueries, outer-scope references, ambiguous columns, nested
 //! aggregates) falls back *per operator* to the row machinery in
-//! [`crate::exec`], which is shared verbatim with the other two modes — one
+//! [`crate::exec`], which is shared verbatim with the nested-loop mode — one
 //! row-evaluated predicate or projection no longer demotes the rest of the
 //! statement. `columnar_fallbacks` in [`crate::ExecStats`] counts each
 //! row-bridged operator, and `columnar_partial` counts statements that mixed
@@ -31,10 +30,10 @@
 //!
 //! ## Semantics contract
 //!
-//! Results must be row-identical to both `PlanMode::Optimized` and the
-//! `PlanMode::NestedLoop` oracle, NULL and NaN included. The batch kernels
-//! therefore reproduce [`Value::sql_cmp`] / [`Value::arith`] /
-//! [`Value::to_truth`] cell for cell — including the deliberate quirks:
+//! Results must be row-identical to the `PlanMode::NestedLoop` oracle, NULL
+//! and NaN included. The batch kernels therefore reproduce
+//! [`Value::sql_cmp`] / [`Value::arith`] / [`Value::to_truth`] cell for
+//! cell — including the deliberate quirks:
 //! NaN compares equal to every number (via `cmp_f64`), text that parses
 //! as a float (`'nan'` included) compares numerically, and integer
 //! comparison goes through `f64` (lossy above 2^53) exactly like the row
@@ -1021,10 +1020,9 @@ impl<'a> Executor<'a> {
         self.stats.batch_rows += chunks.iter().map(|c| c.live_rows() as u64).sum::<u64>();
     }
 
-    /// Executes one physical operator columnar-natively, producing the same
-    /// layout and (flattened, live) rows as [`Executor::exec_plan_node`]
-    /// with identical `rows_scanned` / `index_lookups` / `hash_*`
-    /// accounting. Outputs carry selection vectors: scans emit all-live
+    /// Executes one physical operator columnar-natively, producing its
+    /// flattened column layout and live rows, with `rows_scanned` /
+    /// `index_lookups` / `hash_*` accounting per operator. Outputs carry selection vectors: scans emit all-live
     /// chunks, pushed-down filters refine selections, and joins — a
     /// pipeline boundary — compact their inputs before build/probe and emit
     /// all-live chunks again.

@@ -82,12 +82,10 @@ pub fn explain_text(db: &Database, stmt: &SelectStatement, mode: PlanMode) -> Sq
         PlanMode::NestedLoop => {
             out.push_str(&legacy_tree(stmt, &|_| String::new(), &|_| String::new()));
         }
-        PlanMode::Optimized | PlanMode::Columnar => {
+        PlanMode::Columnar => {
             let plan = plan_select(db, stmt)?;
             out.push_str(&plan.explain_annotated(&|_| String::new()));
-            if mode == PlanMode::Columnar {
-                out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
-            }
+            out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
         }
     }
     out.push_str(&subqueries_section(db, stmt, mode));
@@ -122,7 +120,7 @@ pub fn explain_analyze_text(
                 mark_covered(&profile, &join.table as *const TableRef as usize, &mut covered);
             }
         }
-        PlanMode::Optimized | PlanMode::Columnar => {
+        PlanMode::Columnar => {
             let plan = plans.cached_plan(stmt).ok_or_else(|| {
                 SqlError::Execution(
                     "EXPLAIN ANALYZE: executed statement left no cached plan".into(),
@@ -134,9 +132,7 @@ pub fn explain_analyze_text(
             out.push_str(&plan.explain_annotated(&|node| {
                 annotate_key(&profile, node as *const PlanNode as usize)
             }));
-            if mode == PlanMode::Columnar {
-                out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
-            }
+            out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
         }
     }
     out.push_str(&subqueries_section(db, stmt, mode));

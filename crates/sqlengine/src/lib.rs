@@ -16,11 +16,10 @@
 //!
 //! ## Execution architecture
 //!
-//! Queries execute in two layers, with three selectable execution modes
-//! ([`plan::PlanMode`]): `Optimized` (the row-at-a-time default),
-//! `Columnar` (vectorized batches over the same physical plans — the
-//! serving default, see [`plan::PlanMode::serving`]), and `NestedLoop`
-//! (the original cross-product executor, kept as the semantic oracle).
+//! Queries execute in one of two modes ([`plan::PlanMode`]): `Columnar`,
+//! the production executor every caller runs by default (see
+//! [`plan::PlanMode::serving`]), and `NestedLoop`, the original
+//! cross-product executor kept as an independent semantic oracle.
 //!
 //! 1. **Physical planning** ([`plan`]): each `SELECT`'s FROM/JOIN/WHERE
 //!    section is lowered into a left-deep tree of physical operators —
@@ -33,15 +32,24 @@
 //!    else. Hash candidates are re-checked against the full `ON` predicate,
 //!    and probes return matches in scan order, so optimized plans reproduce
 //!    the legacy executor's rows *and their order* exactly.
-//! 2. **Shared pipeline** ([`exec`]): projection, grouping, `HAVING`,
-//!    `DISTINCT`, `ORDER BY`, and `LIMIT`/`OFFSET` run identically for
-//!    every plan. `GROUP BY`, `DISTINCT`, and `DISTINCT` aggregates are
-//!    hashed through [`storage::GroupKeyMap`] — a multi-column grouping-key
-//!    map with exact [`value::Value::grouping_eq`] semantics (NULL groups
-//!    with NULL, integers and reals cross-match, text is byte-exact, NaN
-//!    falls back to a linear side path) — so grouping is O(rows) instead of
-//!    O(rows × groups). Groups are tracked as row indices into the filtered
-//!    relation; no full-row clones.
+//! 2. **Columnar execution** ([`mod@columnar`]): the plan runs over
+//!    [`chunk::DataChunk`] batches of typed [`chunk::ColumnArray`]s (fixed
+//!    [`chunk::BATCH_SIZE`], null bitmaps): scans slice tables into chunks,
+//!    filters run batch predicate kernels, hash joins build and probe over
+//!    column slices, and grouping hashes batch-evaluated key columns through
+//!    [`storage::GroupKeyMap`] — a multi-column grouping-key map with exact
+//!    [`value::Value::grouping_eq`] semantics (NULL groups with NULL,
+//!    integers and reals cross-match, text is byte-exact, NaN falls back to
+//!    a linear side path).
+//! 3. **Row machinery** ([`exec`]): the row expression evaluator, the
+//!    nested-loop join, row grouping, and the statement tail (projection,
+//!    `HAVING`, `DISTINCT`, `ORDER BY`, `LIMIT`/`OFFSET`). The nested-loop
+//!    mode runs entirely on it; the columnar executor bridges to it per
+//!    operator for whatever the batch layer cannot express (subqueries,
+//!    outer references, nested aggregates) — counted in
+//!    [`ExecStats::columnar_fallbacks`] — so results stay row-identical to
+//!    the oracle by construction (see the [`mod@columnar`] docs for the
+//!    exact semantics contract).
 //!
 //! Each top-level statement executes with a [`plan::PlanCache`]: subqueries
 //! (scalar, `IN`, `EXISTS`, derived tables) are planned once, with hit/miss
@@ -52,23 +60,9 @@
 //! build side runs once and whose probes are O(1) per outer row — and fall
 //! back to per-outer-row re-execution of the cached plan otherwise.
 //!
-//! [`plan::PlanMode::Columnar`] executes the *same* physical plans over
-//! [`chunk::DataChunk`] batches of typed [`chunk::ColumnArray`]s
-//! (fixed [`chunk::BATCH_SIZE`], null bitmaps): scans slice tables into
-//! chunks, filters run batch predicate kernels, hash joins build and probe
-//! over column slices, and grouping hashes batch-evaluated key columns
-//! through the same [`storage::GroupKeyMap`]. Anything the batch layer
-//! cannot express (subqueries, outer references, nested aggregates) falls
-//! back to the shared row machinery per statement — counted in
-//! [`ExecStats::columnar_fallbacks`] — so results stay row-identical to the
-//! other modes by construction (see the [`mod@columnar`] docs for the exact
-//! semantics contract).
-//!
-//! [`plan::PlanMode::NestedLoop`] preserves the original cross-product
-//! executor as a semantic reference (it never caches or decorrelates);
-//! `tests/engine_conformance.rs` asserts three-way row-identical results
-//! (`Optimized` vs `Columnar` vs `NestedLoop`) over every gold query of
-//! both synthetic corpora, and
+//! [`plan::PlanMode::NestedLoop`] never plans, caches, or decorrelates;
+//! `tests/engine_conformance.rs` asserts row-identical results between the
+//! two modes over every gold query of both synthetic corpora, and
 //! `crates/sqlengine/tests/decorrelation_props.rs` /
 //! `crates/sqlengine/tests/columnar_props.rs` do the same over randomized
 //! correlated and NULL/NaN/cross-typed workloads.
@@ -115,9 +109,8 @@ pub use chunk::{ArrayBuilder, ColumnArray, DataChunk, NullBitmap, BATCH_SIZE};
 pub use decorrelate::{decorrelate, DecorrelatedKind, DecorrelatedSubquery, SubqueryPosition};
 pub use error::{SqlError, SqlResult};
 pub use exec::{
-    execute, execute_select, execute_select_profiled, execute_select_with_plan_cache,
-    execute_select_with_stats, execute_select_with_stats_mode, execute_statement,
-    execute_with_stats, execute_with_stats_mode,
+    execute, execute_select_profiled, execute_select_with_plan_cache, execute_statement,
+    execute_with_stats_mode,
 };
 pub use explain::{explain_analyze_text, explain_sql, explain_statement, explain_text};
 pub use mutate::{

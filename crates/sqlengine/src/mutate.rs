@@ -20,7 +20,7 @@
 //!    post-mutation rows and rebuild a fresh database from the schema, so
 //!    every index and chunk is built from scratch. `snapshot_props.rs`
 //!    asserts the two are observably identical (rows, probes, chunks,
-//!    searches, query results in all three plan modes) on randomized
+//!    searches, query results in both plan modes) on randomized
 //!    workloads.
 //!
 //! Because both paths share one planning step, any divergence the oracle
@@ -131,7 +131,7 @@ pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutati
                     return Err(SqlError::Schema("INSERT arity mismatch".into()));
                 }
                 let mut row = vec![Value::Null; schema.columns.len()];
-                let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
+                let mut exec = Executor::new(db, PlanMode::serving(), PlanCache::default());
                 let scope = Scope { cols: &[], row: &[], parent: None };
                 for (expr, &pos) in row_exprs.iter().zip(&positions) {
                     row[pos] = exec.eval(expr, &scope, None)?;
@@ -153,7 +153,7 @@ pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutati
                         .ok_or_else(|| SqlError::UnknownColumn(format!("{}.{}", upd.table, c)))
                 })
                 .collect::<SqlResult<Vec<_>>>()?;
-            let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
+            let mut exec = Executor::new(db, PlanMode::serving(), PlanCache::default());
             let mut changes = Vec::new();
             for (pos, row) in table.rows().iter().enumerate() {
                 let scope = Scope { cols: &cols, row, parent: None };
@@ -175,7 +175,7 @@ pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutati
         Statement::Delete(del) => {
             let table = db.table(&del.table)?;
             let cols = table_scope_cols(&del.table, &table.schema);
-            let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
+            let mut exec = Executor::new(db, PlanMode::serving(), PlanCache::default());
             let mut positions = Vec::new();
             for (pos, row) in table.rows().iter().enumerate() {
                 let keep = match &del.where_clause {

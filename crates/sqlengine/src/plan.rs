@@ -4,7 +4,9 @@
 //! The planner replaces the legacy "cross-product everything, then filter"
 //! strategy for the FROM/JOIN/WHERE section of a query with three
 //! optimizations, while leaving projection, grouping, ordering, and limiting
-//! to the shared executor pipeline:
+//! to the executor. The production executor ([`PlanMode::Columnar`], in
+//! [`crate::columnar`]) runs these plans over column batches; the
+//! nested-loop reference never plans at all:
 //!
 //! 1. **Hash equi-joins** — a join whose `ON` clause (or, for comma joins,
 //!    the `WHERE` clause) contains a `left.col = right.col` conjunct builds
@@ -30,7 +32,7 @@
 //! Plans preserve the legacy executor's row *order* as well as its row
 //! multiset: hash probes return matches in right-scan order, so
 //! `LIMIT`-without-`ORDER BY` queries stay bit-for-bit identical between
-//! [`PlanMode::Optimized`] and [`PlanMode::NestedLoop`]. The conformance
+//! [`PlanMode::Columnar`] and [`PlanMode::NestedLoop`]. The conformance
 //! suite in `tests/engine_conformance.rs` asserts this equivalence over
 //! every gold query of both synthetic corpora.
 //!
@@ -55,32 +57,25 @@ use crate::result::ExecStats;
 use crate::storage::Database;
 use crate::value::Value;
 
-/// Which execution strategy the executor uses for FROM/JOIN/WHERE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which executor runs a statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Physical planner: hash equi-joins, PK lookups, predicate pushdown.
-    #[default]
-    Optimized,
-    /// Legacy executor: nested-loop joins and post-join filtering only.
-    /// Kept as the semantic reference the optimized plans are tested
-    /// against.
-    NestedLoop,
-    /// Vectorized execution over the *same* physical plans as `Optimized`:
-    /// operators exchange [`crate::chunk::DataChunk`] batches of typed
-    /// column arrays instead of one `Vec<Value>` row at a time, with batch
-    /// expression kernels for the hot paths and a per-statement row
-    /// fallback for everything not yet vectorized (see [`crate::columnar`]).
-    /// Row-identical to both other modes by construction and by the
-    /// three-way differential suites; subquery caching and decorrelation
-    /// engage exactly as in `Optimized`.
+    /// The production executor: the physical plan (hash equi-joins, PK
+    /// lookups, predicate pushdown) executed over [`crate::chunk::DataChunk`]
+    /// batches of typed column arrays, with batch expression kernels for
+    /// the hot paths and a per-operator row bridge for everything not yet
+    /// vectorized (see [`crate::columnar`]). Subquery result caching and
+    /// decorrelation engage here.
     Columnar,
+    /// Legacy executor: nested-loop joins and post-join filtering only, no
+    /// caching, no decorrelation. Kept as the independent semantic
+    /// reference the columnar executor is tested against.
+    NestedLoop,
 }
 
 impl PlanMode {
-    /// The mode production serving paths (`seed-serve`, the eval runners)
-    /// default to: columnar batch execution. Library callers keep
-    /// [`PlanMode::Optimized`] as `Default` — the row pipeline remains the
-    /// reference the vectorized path is differentially tested against.
+    /// The production mode every serving, scoring, and library path runs:
+    /// [`PlanMode::Columnar`].
     pub fn serving() -> PlanMode {
         PlanMode::Columnar
     }

@@ -16,7 +16,7 @@
 //! * the columnar chunk representation, row by row;
 //! * BM25 `text_index` search results (doc positions *and* scores — the
 //!   incremental append must be state-identical to a fresh build);
-//! * query results of a battery in all three plan modes;
+//! * query results of a battery in both plan modes;
 //! * the snapshot version epoch and per-table dependency fingerprints.
 //!
 //! Pinned-snapshot isolation and COW granularity (`Arc::ptr_eq` witnesses)
@@ -102,7 +102,7 @@ fn rendered(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
     rows.iter().map(|r| r.iter().map(Value::render).collect()).collect()
 }
 
-/// Read-query battery run against both databases in all three plan modes at
+/// Read-query battery run against both databases in both plan modes at
 /// the end of every oracle case.
 const QUERIES: &[&str] = &[
     "SELECT id, k, v FROM t1",
@@ -161,18 +161,17 @@ fn assert_observably_identical(inc: &Database, reb: &Database, ids_issued: i64, 
     // reflexively: the sentinel behaviour for unknown tables.
     let unknown = vec!["nope".to_string()];
     assert_eq!(inc.dependency_fingerprint(&unknown), reb.dependency_fingerprint(&unknown));
-    // Query battery, three-way per database, then across databases.
+    // Query battery, two-way per database, then across databases.
     for sql in QUERIES {
         let mut per_db = Vec::new();
         for db in [inc, reb] {
             let mut per_mode = Vec::new();
-            for mode in [PlanMode::Columnar, PlanMode::Optimized, PlanMode::NestedLoop] {
+            for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
                 let (rs, _) = execute_with_stats_mode(db, sql, mode)
                     .unwrap_or_else(|e| panic!("{sql} failed ({mode:?}): {e} ({ctx})"));
                 per_mode.push((rs.columns.clone(), rendered(&rs.rows)));
             }
             assert_eq!(per_mode[0], per_mode[1], "mode divergence on {sql}: {ctx}");
-            assert_eq!(per_mode[1], per_mode[2], "mode divergence on {sql}: {ctx}");
             per_db.push(per_mode.remove(0));
         }
         assert_eq!(per_db[0], per_db[1], "incremental vs rebuild on {sql}: {ctx}");

@@ -4,8 +4,8 @@
 //!
 //! Contract under test (see `crates/serve/README.md`):
 //! * `Server::execute_batch` returns, for every statement, rows and columns
-//!   byte-identical to a direct serial execution in the server's own plan
-//!   mode (the columnar serving default), in submission order, at any
+//!   byte-identical to a direct serial execution in the same plan mode
+//!   (`PlanMode::serving()`), in submission order, at any
 //!   worker count — including under a seeded shuffle of the submission
 //!   order;
 //! * the cost-bearing work counters (and hence `ExecStats::cost`) are
@@ -80,8 +80,8 @@ fn serve_batches_match_serial_execution_at_every_worker_count() {
                     let served = outcome
                         .as_ref()
                         .unwrap_or_else(|e| panic!("{}: serve failed: {e:?} ({sql})", db.name()));
-                    // The serial reference runs in the server's own mode
-                    // (columnar serving default): the contract is that
+                    // The serial reference runs in the server's mode
+                    // (`PlanMode::serving()`): the contract is that
                     // *concurrency* changes nothing, and cost counters are
                     // deterministic per mode, not across modes.
                     let (direct, direct_stats) =
