@@ -200,7 +200,7 @@ fn run_serve(loads: &[DbWorkload], workers: usize) -> (f64, Vec<Vec<ResultSet>>,
         elapsed += start.elapsed().as_secs_f64();
         if pass == 0 {
             for server in &servers {
-                let stats = server.snapshot_stats();
+                let stats = server.metrics_snapshot();
                 hits += stats.result_cache_hits;
                 statements += stats.statements;
             }
@@ -301,7 +301,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
         "{{\n  \"command\": \"cargo run --release -p seed-bench --bin serve_bench\",\n  \
-         \"note\": \"Workloads over every join/subquery gold query of both corpora (scale {:.2}): 'repeated_x6' repeats each statement six times, seeded-shuffled (result-cache + in-flight-dedup path); 'unique' runs each statement once (pure serving overhead, every statement a miss); 'skewed' orders statements most-expensive-first with Zipf-decaying repeats (work-stealing balance check). Serial baseline = the pre-serve path (fresh parse+plan+execute per statement). Serve = Server::execute_batch over sharded plan/result caches with in-flight dedup; results verified byte-identical to the baseline for every statement at every worker count; result_cache_hits are exact (statements - distinct) by dedup. Servers (and their persistent worker pools) are constructed outside the timed region, as in a long-lived serving process. Configurations are timed in interleaved rounds (a fresh seeded permutation of baseline + every worker count, each round) and each reports its best round: the shared host's throughput wanders between regimes by tens of percent but is bounded above by the hardware ceiling, so per-configuration peaks are the stable, comparable statistic, and neither drift nor predecessor cache-warming can masquerade as a worker-count effect. Worker counts with the same effective_fanout (= min(workers, available_parallelism)) serve through identical code paths by construction, so their rounds are pooled into one shared peak. Host exposes {} CPU(s) to this process, so worker counts beyond 1 cannot add wall-clock scaling here; the bar on this host is that they no longer subtract it (no negative scaling). A batch wakes at most min(workers, statements, available_parallelism) pool threads — waking workers the CPU cannot run only costs futex round-trips and context switches — so on this host every worker count serves through the same single-runnable-worker path and differences between rows are measurement noise; on multi-core hosts the same configs fan out and add thread scaling.\",\n  \"available_parallelism\": {},\n{}\n}}\n",
+         \"note\": \"Workloads over every join/subquery gold query of both corpora (scale {:.2}): 'repeated_x6' repeats each statement six times, seeded-shuffled (result-cache + in-flight-dedup path); 'unique' runs each statement once (pure serving overhead, every statement a miss); 'skewed' orders statements most-expensive-first with Zipf-decaying repeats (work-stealing balance check). Serial baseline = the pre-serve path (fresh parse+plan+execute per statement). Serve = Server::execute_batch over the shared plan and result caches with in-flight dedup; results verified byte-identical to the baseline for every statement at every worker count; result_cache_hits are exact (statements - distinct) by dedup. Servers (and their persistent worker pools) are constructed outside the timed region, as in a long-lived serving process. Configurations are timed in interleaved rounds (a fresh seeded permutation of baseline + every worker count, each round) and each reports its best round: the shared host's throughput wanders between regimes by tens of percent but is bounded above by the hardware ceiling, so per-configuration peaks are the stable, comparable statistic, and neither drift nor predecessor cache-warming can masquerade as a worker-count effect. Worker counts with the same effective_fanout (= min(workers, available_parallelism)) serve through identical code paths by construction, so their rounds are pooled into one shared peak. Host exposes {} CPU(s) to this process, so worker counts beyond 1 cannot add wall-clock scaling here; the bar on this host is that they no longer subtract it (no negative scaling). A batch wakes at most min(workers, statements, available_parallelism) pool threads — waking workers the CPU cannot run only costs futex round-trips and context switches — so on this host every worker count serves through the same single-runnable-worker path and differences between rows are measurement noise; on multi-core hosts the same configs fan out and add thread scaling.\",\n  \"available_parallelism\": {},\n{}\n}}\n",
         config.scale,
         cpus,
         cpus,

@@ -3,8 +3,8 @@
 //! A concurrent query-serving runtime for the SEED reproduction's SQL
 //! engine: submit a batch of SQL statements (or a whole eval workload) and
 //! get per-statement results back **in submission order**, executed by a
-//! persistent worker pool against an `Arc`-shared, read-only
-//! [`Database`] snapshot.
+//! persistent worker pool against `Arc`-shared, versioned [`Database`]
+//! snapshots.
 //!
 //! ## Snapshot / write model
 //!
@@ -33,17 +33,14 @@
 //!
 //! ## Shared caches
 //!
-//! Both shared caches are **sharded by statement-text hash** into
-//! independent lock stripes (at least as many stripes as workers), so two
-//! workers serving *different* statements never contend on a lock — the
-//! fix for the negative scaling the single-lock layout showed in
-//! `BENCH_serve.json`.
+//! Each shared cache sits behind **one lock**, held only for map probes and
+//! updates — never while a statement executes or rows are cloned.
 //!
-//! * **Plans** — one process-wide [`SharedPlanCache`] per server, striped
-//!   internally: a repeated statement parses and plans once, then every
-//!   execution (any worker, any session) replays the pinned plan. Plans
-//!   depend only on the schema, so they survive commits untouched. Reuse is
-//!   visible as `plan_cache_hits` in each statement's [`ExecStats`].
+//! * **Plans** — one [`SharedPlanCache`] per server: a repeated statement
+//!   parses and plans once, then every execution (any worker, any session)
+//!   replays the pinned plan. Plans depend only on the schema, so they
+//!   survive commits untouched. Reuse is visible as `plan_cache_hits` in
+//!   each statement's [`ExecStats`].
 //! * **Results** — a statement's result is a pure function of its text
 //!   *and the versions of the tables it reads*. Entries are therefore
 //!   keyed two-level: the statement's **dependency fingerprint**
@@ -51,25 +48,25 @@
 //!   referenced tables' generations), then its text. A commit that touches
 //!   a statement's tables changes the fingerprint — the old entry simply
 //!   stops being probed — while entries for statements over *untouched*
-//!   tables keep hitting across snapshots. With
-//!   [`ServeConfig::cache_results`] on (the default), each distinct
+//!   tables keep hitting across snapshots. With a nonzero
+//!   [`ServeConfig::result_cache_cap`] (the default), each distinct
 //!   (fingerprint, statement) pair *executes exactly once*: an **in-flight
-//!   execution table** (one slot per stripe entry) makes concurrent
+//!   execution table** (slots of the same map) makes concurrent
 //!   submissions of the same statement block on the one canonical
 //!   execution instead of racing it, then serves them its result. That
 //!   makes `result_cache_hits` exact — `statements − distinct statements`
 //!   at any worker count on a quiescent snapshot — not merely
-//!   scheduling-dependently close. Each stripe is its own bounded LRU
-//!   segment: at most `ceil(result_cache_cap / stripes)` (minimum 1)
-//!   entries live per stripe, with least-recently-served eviction across
-//!   all fingerprints (stale-fingerprint entries age out like any other
-//!   cold entry), so a long-lived server's memory stays bounded and
-//!   eviction scans stay per-stripe. In-flight slots are transient and
-//!   never evicted.
+//!   scheduling-dependently close. The cache is an exact LRU: a recency
+//!   index (an ordered map from a monotonic tick to the entry's key) holds
+//!   every ready entry, a hit moves its tick, and publishing evicts the
+//!   coldest entries — across all fingerprints, so stale-fingerprint
+//!   entries age out like any other cold entry — in O(log n) each until
+//!   the newcomer fits. Ready entries never exceed `result_cache_cap`.
+//!   In-flight slots are transient and never evicted.
 //!
 //! ### In-flight dedup state machine
 //!
-//! A stripe slot for a statement is either `Ready(result)` or
+//! A cache slot for a statement is either `Ready(result)` or
 //! `InFlight(flight)`:
 //!
 //! ```text
@@ -98,9 +95,7 @@
 //! chunking — so a skewed batch (a few expensive statements among many
 //! cheap ones) keeps every worker busy until the cursor is drained.
 //! Results land in their submission slots, so output order never depends
-//! on scheduling, and each worker accumulates its serving counters in a
-//! thread-local [`struct@ExecStats`] tally merged into the server totals
-//! once per batch, not once per statement.
+//! on scheduling.
 //!
 //! A batch likewise wakes at most `min(workers, statements,
 //! available_parallelism)` workers — waking a parked thread the CPU
@@ -130,24 +125,24 @@
 //!
 //! ## Observability
 //!
-//! Every server carries an always-on [`metrics::MetricsRegistry`]:
-//! relaxed-atomic counters, gauges, and log-bucketed latency histograms
-//! keyed by [`metrics::StatementClass`], read back as a consistent
-//! [`metrics::MetricsSnapshot`] via [`Server::metrics_snapshot`] (or as
-//! Prometheus-style text via [`Server::render_metrics`]). Canonical
+//! Every server carries an always-on [`metrics::MetricsRegistry`], its only
+//! set of serving counters: relaxed-atomic counters, gauges, and
+//! log-bucketed latency histograms keyed by [`metrics::StatementClass`],
+//! read back as a consistent [`metrics::MetricsSnapshot`] via
+//! [`Server::metrics_snapshot`] (or as Prometheus-style text via
+//! [`Server::render_metrics`]). Canonical
 //! executions additionally run under the engine's per-operator profiler
 //! (bit-identical rows and [`struct@ExecStats`] to an unprofiled run), and
 //! any execution at or above [`ServeConfig::slow_query_threshold_nanos`]
 //! lands in a bounded **slow-query log** — the
 //! [`ServeConfig::slow_query_log_cap`] worst statements with their SQL,
-//! rendered plan, and per-operator profile ([`Server::slow_queries`]).
-//! None of this feeds back into [`struct@ExecStats`] or its `cost()`:
-//! wall-clock observations live strictly beside the deterministic
-//! counters, never in them, so the determinism contract above is
-//! unaffected.
+//! rendered plan, and per-operator profile ([`Server::slow_queries`]), and
+//! counts toward the registry's `slow_queries` counter. None of this feeds
+//! back into [`struct@ExecStats`] or its `cost()`: wall-clock observations
+//! live strictly beside the deterministic counters, never in them, so the
+//! determinism contract above is unaffected.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -166,10 +161,6 @@ pub use metrics::{
     StatementClass,
 };
 
-/// Minimum number of result-cache stripes, so even low worker counts get
-/// contention-free admission from concurrent sessions.
-const MIN_RESULT_SHARDS: usize = 8;
-
 /// Configuration for a [`Server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -178,18 +169,11 @@ pub struct ServeConfig {
     /// everywhere — [`Server::new`] and batch admission both clamp, so a
     /// zero written via a struct literal can never reach the pool.
     pub workers: usize,
-    /// Serve repeated statements from the shared result cache and dedup
-    /// concurrent executions of the same statement. Sound because the
-    /// snapshot is frozen for the server's lifetime; disable only to
-    /// measure raw execution throughput.
-    pub cache_results: bool,
-    /// Approximate maximum number of distinct statements the result cache
-    /// holds. The cap is distributed over the cache's lock stripes: each
-    /// stripe holds at most `ceil(result_cache_cap / stripes)` entries
-    /// (minimum 1), evicting its least-recently-served entry on overflow —
-    /// so the true bound is `stripes * ceil(result_cache_cap / stripes)`,
-    /// i.e. within one entry per stripe of the configured cap. `0`
-    /// disables result caching (and in-flight dedup) entirely.
+    /// Maximum number of statement results the result cache holds — an
+    /// exact bound: publishing a new result past it evicts the
+    /// least-recently-served entries first. `0` disables result caching
+    /// (and in-flight dedup) entirely, e.g. to measure raw execution
+    /// throughput.
     pub result_cache_cap: usize,
     /// Allow more workers than the host has hardware threads. Off by
     /// default: a worker thread beyond `available_parallelism()` can never
@@ -216,7 +200,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            cache_results: true,
             result_cache_cap: 1024,
             oversubscribe: false,
             // 50ms: far above anything the in-memory engine serves under
@@ -276,28 +259,6 @@ pub struct StatementOutcome {
     pub from_result_cache: bool,
 }
 
-/// Aggregate serving counters, reported by [`Server::snapshot_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Statements served (cache hits included), across all sessions.
-    pub statements: u64,
-    /// Statements answered from the shared result cache or by a canonical
-    /// in-flight execution. Exact under dedup: `statements − distinct
-    /// statements` whenever the distinct set fits the cache cap.
-    pub result_cache_hits: u64,
-    /// Distinct statements pinned in the shared plan cache.
-    pub prepared_statements: usize,
-    /// Sum of every served statement's [`ExecStats`], merged without double
-    /// counting via [`ExecStats::merge`].
-    pub totals: ExecStats,
-    /// Canonical executions recorded by the slow-query log so far (recorded,
-    /// not retained — the log itself keeps only the worst
-    /// [`ServeConfig::slow_query_log_cap`]). Timing-dependent by nature:
-    /// never compared by the determinism suite, and never part of any
-    /// cost accounting.
-    pub slow_queries: u64,
-}
-
 /// One entry of the slow-query log: everything needed to understand a slow
 /// statement after the fact without re-running it.
 #[derive(Debug, Clone)]
@@ -321,7 +282,6 @@ struct SlowQueryLog {
     threshold_nanos: u64,
     cap: usize,
     entries: Mutex<Vec<SlowQuery>>,
-    recorded: AtomicU64,
 }
 
 impl SlowQueryLog {
@@ -330,7 +290,6 @@ impl SlowQueryLog {
             threshold_nanos: config.slow_query_threshold_nanos,
             cap: config.slow_query_log_cap,
             entries: Mutex::new(Vec::new()),
-            recorded: AtomicU64::new(0),
         }
     }
 
@@ -339,7 +298,6 @@ impl SlowQueryLog {
     }
 
     fn record(&self, q: SlowQuery) {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock();
         let pos = entries.iter().position(|e| e.nanos < q.nanos).unwrap_or(entries.len());
         entries.insert(pos, q);
@@ -349,19 +307,18 @@ impl SlowQueryLog {
     fn snapshot(&self) -> Vec<SlowQuery> {
         self.entries.lock().clone()
     }
-
-    fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
 }
 
-/// One cached statement result plus its recency stamp. The stamp is atomic
-/// so cache *hits* (the hot path) bump recency under the stripe's read
-/// lock; only insertions and evictions take the stripe's write lock.
+/// One cached statement result.
 struct CachedResult {
     result: ResultSet,
     stats: ExecStats,
-    last_used: AtomicU64,
+}
+
+impl CachedResult {
+    fn served(&self) -> StatementOutcome {
+        StatementOutcome { result: self.result.clone(), stats: self.stats, from_result_cache: true }
+    }
 }
 
 /// State of one canonical execution that concurrent duplicates wait on.
@@ -410,75 +367,125 @@ impl InFlight {
     }
 }
 
-/// A stripe slot: either a cached result or the execution producing one.
+/// A cache slot: either a cached result (with its key in the recency
+/// index) or the execution producing one.
 enum Slot {
-    Ready(Arc<CachedResult>),
+    Ready { entry: Arc<CachedResult>, tick: u64 },
     InFlight(Arc<InFlight>),
 }
 
-/// One lock stripe of the sharded result cache. The map is two-level —
+/// What admission decided for one statement.
+enum Admission {
+    /// A ready entry, already moved to most-recently-served.
+    Hit(Arc<CachedResult>),
+    /// Another submission is executing it; wait on its flight.
+    Wait(Arc<InFlight>),
+    /// This submission won admission and must execute and publish.
+    Run(Arc<InFlight>),
+}
+
+/// Everything the result cache's one lock guards. The map is two-level —
 /// dependency fingerprint (the versions of the tables the statement
 /// reads), then SQL text — so the hot path probes with a borrowed `&str`
 /// and a commit to a statement's tables retires its entries by changing
 /// which fingerprint is probed, never by scanning.
-struct ResultShard {
-    slots: RwLock<HashMap<u64, HashMap<String, Slot>>>,
-    /// Monotonic recency clock for this stripe's LRU.
-    tick: AtomicU64,
+#[derive(Default)]
+struct CacheState {
+    slots: HashMap<u64, HashMap<String, Slot>>,
+    /// Every ready entry by recency tick, coldest first: the LRU order.
+    /// In-flight slots never enter it.
+    lru: BTreeMap<u64, (u64, String)>,
+    /// Monotonic recency clock.
+    tick: u64,
 }
 
-impl ResultShard {
-    /// Serves a cached entry, bumping its recency. Read-lock-only path.
-    fn hit(&self, entry: &CachedResult) -> StatementOutcome {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.last_used.store(tick, Ordering::Relaxed);
-        StatementOutcome {
-            result: entry.result.clone(),
-            stats: entry.stats,
-            from_result_cache: true,
+impl CacheState {
+    /// Removes a slot (dropping its fingerprint's map once empty), handing
+    /// back the owned key so callers can reuse the allocation.
+    fn remove(&mut self, vkey: u64, sql: &str) -> Option<(String, Slot)> {
+        let by_sql = self.slots.get_mut(&vkey)?;
+        let removed = by_sql.remove_entry(sql);
+        if by_sql.is_empty() {
+            self.slots.remove(&vkey);
         }
-    }
-
-    fn ready_len(&self) -> usize {
-        self.slots
-            .read()
-            .values()
-            .flat_map(HashMap::values)
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
+        removed
     }
 }
 
-/// The sharded statement-result cache plus in-flight execution table.
-struct ShardedResultCache {
-    shards: Box<[ResultShard]>,
-    /// Per-stripe LRU capacity; `0` means caching (and dedup) is off.
-    stripe_cap: usize,
+/// The statement-result cache plus in-flight execution table, behind one
+/// lock held only for map probes and updates.
+struct ResultCache {
+    state: Mutex<CacheState>,
+    /// Exact bound on ready entries; `0` means caching (and dedup) is off.
+    cap: usize,
     evictions: AtomicU64,
 }
 
-impl ShardedResultCache {
-    fn new(workers: usize, config: &ServeConfig) -> Self {
-        let n = workers.max(MIN_RESULT_SHARDS).next_power_of_two();
-        let cap = if config.cache_results { config.result_cache_cap } else { 0 };
-        let stripe_cap = if cap == 0 { 0 } else { cap.div_ceil(n) };
-        ShardedResultCache {
-            shards: (0..n)
-                .map(|_| ResultShard {
-                    slots: RwLock::new(HashMap::new()),
-                    tick: AtomicU64::new(0),
-                })
-                .collect(),
-            stripe_cap,
-            evictions: AtomicU64::new(0),
+impl ResultCache {
+    fn new(cap: usize) -> Self {
+        ResultCache { state: Mutex::default(), cap, evictions: AtomicU64::new(0) }
+    }
+
+    /// One lock acquisition decides among a hit, a wait on the canonical
+    /// execution, or becoming the canonical execution.
+    fn admit(&self, vkey: u64, sql: &str) -> Admission {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        match state.slots.get_mut(&vkey).and_then(|m| m.get_mut(sql)) {
+            Some(Slot::Ready { entry, tick }) => {
+                state.tick += 1;
+                let key = state.lru.remove(tick).expect("ready entries are indexed");
+                *tick = state.tick;
+                state.lru.insert(*tick, key);
+                Admission::Hit(Arc::clone(entry))
+            }
+            Some(Slot::InFlight(f)) => Admission::Wait(Arc::clone(f)),
+            None => {
+                let f = Arc::new(InFlight::new());
+                state
+                    .slots
+                    .entry(vkey)
+                    .or_default()
+                    .insert(sql.to_string(), Slot::InFlight(Arc::clone(&f)));
+                Admission::Run(f)
+            }
         }
     }
 
-    fn shard_of(&self, sql: &str) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        sql.hash(&mut hasher);
-        // Stripe count is a power of two, so masking maps uniformly.
-        (hasher.finish() as usize) & (self.shards.len() - 1)
+    /// Turns the caller's in-flight slot into a ready entry, first evicting
+    /// the least-recently-served entries so the cap stays exact.
+    fn publish(&self, vkey: u64, sql: &str, entry: Arc<CachedResult>) {
+        let mut state = self.state.lock();
+        // Reclaim the admission-time key so publishing a result does not
+        // re-allocate the statement text.
+        let key = state.remove(vkey, sql).map(|(key, _)| key).unwrap_or_else(|| sql.to_string());
+        while state.lru.len() >= self.cap {
+            let (_, (cold_vkey, cold_sql)) =
+                state.lru.pop_first().expect("cap > 0, so a full cache has a coldest entry");
+            state.remove(cold_vkey, &cold_sql);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        state.tick += 1;
+        let tick = state.tick;
+        state.lru.insert(tick, (vkey, key.clone()));
+        state.slots.entry(vkey).or_default().insert(key, Slot::Ready { entry, tick });
+    }
+
+    /// Drops the in-flight slot `flight` still holds, if it does: errors
+    /// are never cached, and an unwound execution leaves nothing behind.
+    fn forget(&self, vkey: u64, sql: &str, flight: &Arc<InFlight>) {
+        let mut state = self.state.lock();
+        let ours = matches!(
+            state.slots.get(&vkey).and_then(|m| m.get(sql)),
+            Some(Slot::InFlight(f)) if Arc::ptr_eq(f, flight)
+        );
+        if ours {
+            state.remove(vkey, sql);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.state.lock().lru.len()
     }
 }
 
@@ -486,8 +493,7 @@ impl ShardedResultCache {
 /// execution unwinds (panic in the engine) before publishing. Disarmed on
 /// the normal path.
 struct FlightGuard<'a> {
-    cache: &'a ShardedResultCache,
-    shard: usize,
+    cache: &'a ResultCache,
     vkey: u64,
     sql: &'a str,
     flight: &'a Arc<InFlight>,
@@ -496,50 +502,16 @@ struct FlightGuard<'a> {
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let shard = &self.cache.shards[self.shard];
-        let mut slots = shard.slots.write();
-        if let Some(by_sql) = slots.get_mut(&self.vkey) {
-            if let Some(Slot::InFlight(f)) = by_sql.get(self.sql) {
-                if Arc::ptr_eq(f, self.flight) {
-                    by_sql.remove(self.sql);
-                }
-            }
-            if by_sql.is_empty() {
-                slots.remove(&self.vkey);
-            }
-        }
-        drop(slots);
-        self.flight.abandon();
-    }
-}
-
-/// Per-worker serving counters, accumulated lock-free during a batch and
-/// folded into the server totals exactly once per worker per batch.
-#[derive(Default)]
-struct Tally {
-    statements: u64,
-    result_hits: u64,
-    totals: ExecStats,
-}
-
-impl Tally {
-    fn absorb(&mut self, outcome: &SqlResult<StatementOutcome>) {
-        self.statements += 1;
-        if let Ok(o) = outcome {
-            if o.from_result_cache {
-                self.result_hits += 1;
-            }
-            self.totals.merge(&o.stats);
+        if self.armed {
+            self.cache.forget(self.vkey, self.sql, self.flight);
+            self.flight.abandon();
         }
     }
 }
 
-/// Everything workers share: the published snapshot, both sharded caches,
-/// and the aggregate counters. Lives behind `Arc` so the persistent pool
-/// threads can hold it without borrowing the `Server`.
+/// Everything workers share: the published snapshot, both caches, and the
+/// metrics registry. Lives behind `Arc` so the persistent pool threads can
+/// hold it without borrowing the `Server`.
 struct ServerCore {
     /// The currently published snapshot. Readers clone the `Arc` out (a
     /// refcount bump under a read lock) and serve from their pinned copy;
@@ -551,10 +523,7 @@ struct ServerCore {
     commit_gate: Mutex<()>,
     config: ServeConfig,
     plans: SharedPlanCache,
-    results: ShardedResultCache,
-    statements: AtomicU64,
-    result_hits: AtomicU64,
-    totals: Mutex<ExecStats>,
+    results: ResultCache,
     metrics: MetricsRegistry,
     slow_log: SlowQueryLog,
 }
@@ -568,7 +537,9 @@ impl ServerCore {
     /// Commits one mutation statement: plan against the latest snapshot,
     /// apply copy-on-write, publish the result. Serialized by the commit
     /// gate; never blocks readers (they keep their pinned snapshots).
-    fn commit_one(&self, sql: &str) -> SqlResult<StatementOutcome> {
+    /// Returns the exact snapshot this commit published, which a later
+    /// commit may already have superseded.
+    fn commit_one(&self, sql: &str) -> SqlResult<(StatementOutcome, Arc<Database>)> {
         let _gate = self.commit_gate.lock();
         let base = self.snapshot();
         let outcome = commit_statement(&base, sql)?;
@@ -580,37 +551,33 @@ impl ServerCore {
             MutationKind::Delete => (0, 0, affected),
             MutationKind::CreateTable => (0, 0, 0),
         };
-        *self.snapshot.write() = Arc::new(outcome.db);
+        let published = Arc::new(outcome.db);
+        *self.snapshot.write() = Arc::clone(&published);
         self.metrics.record_commit(ins, upd, del, version);
-        Ok(StatementOutcome {
+        let served = StatementOutcome {
             result: outcome.result,
             stats: ExecStats::default(),
             from_result_cache: false,
-        })
-    }
-    /// Folds one worker's batch tally into the server aggregates — the
-    /// only totals-lock acquisition a worker makes per batch.
-    fn fold(&self, tally: Tally) {
-        if tally.statements == 0 {
-            return;
-        }
-        self.statements.fetch_add(tally.statements, Ordering::Relaxed);
-        self.result_hits.fetch_add(tally.result_hits, Ordering::Relaxed);
-        self.totals.lock().merge(&tally.totals);
+        };
+        Ok((served, published))
     }
 
-    /// Serves one statement against the pinned snapshot `db`, recording its
-    /// latency (keyed by statement class), result-cache outcome, and — for
-    /// canonical executions — the engine's plan/subquery cache counters
-    /// into the metrics registry. Mutation statements route to the commit
-    /// path (which always targets the *latest* snapshot, not `db`). Errors
-    /// count as result-cache misses.
-    fn serve_one(&self, db: &Arc<Database>, sql: &str) -> SqlResult<StatementOutcome> {
+    /// Serves one statement, recording its latency (keyed by statement
+    /// class), result-cache outcome, and — for canonical executions — the
+    /// engine's plan/subquery cache counters into the metrics registry.
+    /// Reads run against the snapshot `pin`; mutation statements route to
+    /// the commit path (which always targets the *latest* snapshot) and,
+    /// on success only, re-pin `pin` to exactly the snapshot they
+    /// published. Errors count as result-cache misses.
+    fn serve_one(&self, pin: &mut Arc<Database>, sql: &str) -> SqlResult<StatementOutcome> {
         let started = Instant::now();
         let outcome = if is_write_statement(sql) {
-            self.commit_one(sql)
+            self.commit_one(sql).map(|(outcome, published)| {
+                *pin = published;
+                outcome
+            })
         } else {
-            self.serve_uncounted(db, sql)
+            self.serve_read(pin, sql)
         };
         let nanos = started.elapsed().as_nanos() as u64;
         let hit = matches!(&outcome, Ok(o) if o.from_result_cache);
@@ -632,10 +599,9 @@ impl ServerCore {
     }
 
     /// Serves one read statement against the pinned snapshot `db` through
-    /// the sharded caches and the in-flight dedup table. Pure with respect
-    /// to the aggregate counters (the caller's tally absorbs the outcome).
-    fn serve_uncounted(&self, db: &Arc<Database>, sql: &str) -> SqlResult<StatementOutcome> {
-        if self.results.stripe_cap == 0 {
+    /// the shared caches and the in-flight dedup table.
+    fn serve_read(&self, db: &Arc<Database>, sql: &str) -> SqlResult<StatementOutcome> {
+        if self.results.cap == 0 {
             // Caching (and dedup) off: the known-miss path does no cache
             // round-trips at all.
             let (result, stats) = self.plans.execute(db, sql, PlanMode::serving())?;
@@ -647,45 +613,20 @@ impl ServerCore {
         // cached result is valid for both even across different snapshots.
         let prepared = self.plans.prepare(db.name(), sql)?;
         let vkey = db.dependency_fingerprint(prepared.referenced_tables());
-        let idx = self.results.shard_of(sql);
-        let shard = &self.results.shards[idx];
         loop {
-            // Fast path: per-stripe read lock only.
-            let flight = match shard.slots.read().get(&vkey).and_then(|m| m.get(sql)) {
-                Some(Slot::Ready(entry)) => return Ok(shard.hit(entry)),
-                Some(Slot::InFlight(f)) => Some(Arc::clone(f)),
-                None => None,
-            };
-            let flight = match flight {
-                Some(f) => f,
-                None => {
-                    // Admission: one write lock decides the canonical
-                    // executor among racing duplicates.
-                    let mut slots = shard.slots.write();
-                    match slots.get(&vkey).and_then(|m| m.get(sql)) {
-                        Some(Slot::Ready(entry)) => {
-                            let entry = Arc::clone(entry);
-                            drop(slots);
-                            return Ok(shard.hit(&entry));
-                        }
-                        Some(Slot::InFlight(f)) => Arc::clone(f),
-                        None => {
-                            let f = Arc::new(InFlight::new());
-                            slots
-                                .entry(vkey)
-                                .or_default()
-                                .insert(sql.to_string(), Slot::InFlight(Arc::clone(&f)));
-                            drop(slots);
-                            return self.run_canonical(db, &prepared, idx, vkey, sql, &f);
-                        }
-                    }
+            let flight = match self.results.admit(vkey, sql) {
+                // Rows are cloned after the cache lock is released.
+                Admission::Hit(entry) => return Ok(entry.served()),
+                Admission::Run(flight) => {
+                    return self.run_canonical(db, &prepared, vkey, sql, &flight)
                 }
+                Admission::Wait(flight) => flight,
             };
             let wait_started = Instant::now();
             let waited = flight.wait();
             self.metrics.record_dedup_wait(wait_started.elapsed().as_nanos() as u64);
             match waited {
-                Some(Ok(entry)) => return Ok(shard.hit(&entry)),
+                Some(Ok(entry)) => return Ok(entry.served()),
                 Some(Err(e)) => return Err(e),
                 // Canonical execution unwound: retry admission.
                 None => continue,
@@ -694,85 +635,30 @@ impl ServerCore {
     }
 
     /// Runs the canonical execution this worker won admission for, then
-    /// publishes the outcome to the stripe and to every waiter.
+    /// publishes the outcome to the cache and to every waiter.
     fn run_canonical(
         &self,
         db: &Arc<Database>,
         prepared: &PreparedStatement,
-        idx: usize,
         vkey: u64,
         sql: &str,
         flight: &Arc<InFlight>,
     ) -> SqlResult<StatementOutcome> {
-        let mut guard =
-            FlightGuard { cache: &self.results, shard: idx, vkey, sql, flight, armed: true };
+        let mut guard = FlightGuard { cache: &self.results, vkey, sql, flight, armed: true };
         // Canonical executions run under the per-operator profiler: rows
         // and stats are bit-identical to an unprofiled run, and the profile
         // is what the slow-query log records.
         let executed = prepared.execute_profiled(db, PlanMode::serving());
-        let shard = &self.results.shards[idx];
         let published = match &executed {
             Ok((result, stats, _profile)) => {
-                let entry = Arc::new(CachedResult {
-                    result: result.clone(),
-                    stats: *stats,
-                    last_used: AtomicU64::new(shard.tick.fetch_add(1, Ordering::Relaxed) + 1),
-                });
-                let mut slots = shard.slots.write();
-                // Reclaim the admission-time key so publishing a result does
-                // not re-allocate the statement text.
-                let key = slots
-                    .get_mut(&vkey)
-                    .and_then(|m| m.remove_entry(sql))
-                    .map(|(key, _)| key)
-                    .unwrap_or_else(|| sql.to_string());
-                // Per-stripe LRU admission: evict the least-recently-served
-                // ready entries — across every fingerprint, so entries keyed
-                // by versions no one probes anymore age out like any other
-                // cold entry — until the newcomer fits. In-flight slots are
-                // never evicted. The O(stripe len) scans are bounded by the
-                // stripe cap, not the whole cache.
-                while slots
-                    .values()
-                    .flat_map(HashMap::values)
-                    .filter(|s| matches!(s, Slot::Ready(_)))
-                    .count()
-                    >= self.results.stripe_cap
-                {
-                    let coldest = slots
-                        .iter()
-                        .flat_map(|(vk, m)| {
-                            m.iter().filter_map(move |(k, s)| match s {
-                                Slot::Ready(e) => {
-                                    Some((*vk, k.clone(), e.last_used.load(Ordering::Relaxed)))
-                                }
-                                Slot::InFlight(_) => None,
-                            })
-                        })
-                        .min_by_key(|(_, _, used)| *used)
-                        .map(|(vk, k, _)| (vk, k))
-                        .expect("stripe cap > 0, so a full stripe has a coldest ready entry");
-                    if let Some(m) = slots.get_mut(&coldest.0) {
-                        m.remove(&coldest.1);
-                        if m.is_empty() {
-                            slots.remove(&coldest.0);
-                        }
-                    }
-                    self.results.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                slots.entry(vkey).or_default().insert(key, Slot::Ready(Arc::clone(&entry)));
+                let entry = Arc::new(CachedResult { result: result.clone(), stats: *stats });
+                self.results.publish(vkey, sql, Arc::clone(&entry));
                 Ok(entry)
             }
             Err(e) => {
                 // Errors are deterministic but never cached: remove the
                 // slot so later submissions re-report through the engine.
-                let mut slots = shard.slots.write();
-                if let Some(m) = slots.get_mut(&vkey) {
-                    m.remove(sql);
-                    if m.is_empty() {
-                        slots.remove(&vkey);
-                    }
-                }
+                self.results.forget(vkey, sql, flight);
                 Err(e.clone())
             }
         };
@@ -802,6 +688,7 @@ impl ServerCore {
         let plan = prepared
             .explain(db, PlanMode::serving())
             .unwrap_or_else(|e| format!("(plan unavailable: {e})"));
+        self.metrics.record_slow_query();
         self.slow_log.record(SlowQuery {
             sql: sql.to_string(),
             nanos: profile.total_nanos,
@@ -824,7 +711,7 @@ struct BatchState {
     slots: Vec<Mutex<Option<SqlResult<StatementOutcome>>>>,
     /// Next unclaimed statement index — the work-stealing cursor.
     cursor: AtomicUsize,
-    /// Statements fully served (outcome written, stats folded).
+    /// Statements fully served (outcome written).
     completed: AtomicUsize,
     finished: Mutex<bool>,
     finished_cv: Condvar,
@@ -845,12 +732,12 @@ impl BatchState {
     }
 }
 
-/// Serves statements off the batch cursor until it drains, folding this
-/// worker's tally exactly once, then signals completion if this worker
-/// finished the last statement.
+/// Serves statements off the batch cursor until it drains, then signals
+/// completion if this worker finished the last statement.
 fn run_batch_tasks(core: &ServerCore, batch: &BatchState) {
     let n = batch.stmts.len();
-    let mut tally = Tally::default();
+    // A read run holds no writes, so this worker's pin never moves.
+    let mut db = Arc::clone(&batch.db);
     let mut served = 0usize;
     core.metrics.worker_started();
     loop {
@@ -858,15 +745,11 @@ fn run_batch_tasks(core: &ServerCore, batch: &BatchState) {
         if i >= n {
             break;
         }
-        let outcome = core.serve_one(&batch.db, &batch.stmts[i]);
-        tally.absorb(&outcome);
+        let outcome = core.serve_one(&mut db, &batch.stmts[i]);
         *batch.slots[i].lock() = Some(outcome);
         served += 1;
     }
     core.metrics.worker_finished();
-    // Fold before counting completion: when `completed` reaches the batch
-    // size, every statement's stats are already in the server totals.
-    core.fold(tally);
     if served > 0 && batch.completed.fetch_add(served, Ordering::AcqRel) + served == n {
         *batch.finished.lock() = true;
         batch.finished_cv.notify_all();
@@ -926,7 +809,9 @@ fn worker_loop(core: Arc<ServerCore>, pool: Arc<PoolShared>) {
     }
 }
 
-/// A query server over one frozen database snapshot.
+/// A query server over versioned database snapshots: reads pin the
+/// currently published snapshot, writes commit copy-on-write and publish
+/// the next one.
 ///
 /// Construction spawns the persistent worker pool (`workers − 1` threads;
 /// the thread calling [`Server::execute_batch`] is the final worker) and
@@ -966,11 +851,8 @@ impl Server {
             snapshot: RwLock::new(db),
             commit_gate: Mutex::new(()),
             config,
-            plans: SharedPlanCache::with_shards(workers.max(MIN_RESULT_SHARDS)),
-            results: ShardedResultCache::new(workers, &config),
-            statements: AtomicU64::new(0),
-            result_hits: AtomicU64::new(0),
-            totals: Mutex::new(ExecStats::default()),
+            plans: SharedPlanCache::new(),
+            results: ResultCache::new(config.result_cache_cap),
             metrics: MetricsRegistry::new(),
             slow_log: SlowQueryLog::new(&config),
         });
@@ -999,37 +881,14 @@ impl Server {
         Server { core, pool, workers: handles, hardware, batch_gate: Mutex::new(()) }
     }
 
-    /// Cached statement results currently live (ready entries across all
-    /// stripes; in-flight executions are not counted).
+    /// Cached statement results currently live (ready entries; in-flight
+    /// executions are not counted). Never exceeds
+    /// [`ServeConfig::result_cache_cap`].
     pub fn result_cache_len(&self) -> usize {
-        self.core.results.shards.iter().map(|s| s.ready_len()).sum()
+        self.core.results.len()
     }
 
-    /// Ready entries per stripe, for observability and bound checking.
-    pub fn result_cache_shard_lens(&self) -> Vec<usize> {
-        self.core.results.shards.iter().map(|s| s.ready_len()).collect()
-    }
-
-    /// Number of lock stripes the result cache is spread across (a power
-    /// of two, at least the worker count).
-    pub fn result_cache_shards(&self) -> usize {
-        self.core.results.shards.len()
-    }
-
-    /// Maximum ready entries a single stripe holds before evicting
-    /// (`ceil(result_cache_cap / stripes)`, minimum 1); `0` when result
-    /// caching is disabled.
-    pub fn result_cache_stripe_cap(&self) -> usize {
-        self.core.results.stripe_cap
-    }
-
-    /// The stripe `sql` maps to — exposed so tests can construct
-    /// same-stripe workloads deterministically.
-    pub fn result_cache_shard_of(&self, sql: &str) -> usize {
-        self.core.results.shard_of(sql)
-    }
-
-    /// Result-cache entries evicted under the per-stripe LRU cap so far.
+    /// Result-cache entries evicted under the LRU cap so far.
     pub fn result_cache_evictions(&self) -> u64 {
         self.core.results.evictions.load(Ordering::Relaxed)
     }
@@ -1063,12 +922,7 @@ impl Server {
     /// currently published snapshot, writes through the commit path.
     pub fn execute(&self, sql: &str) -> SqlResult<StatementOutcome> {
         self.core.metrics.record_enqueue(1);
-        let db = self.core.snapshot();
-        let outcome = self.core.serve_one(&db, sql);
-        let mut tally = Tally::default();
-        tally.absorb(&outcome);
-        self.core.fold(tally);
-        outcome
+        self.core.serve_one(&mut self.core.snapshot(), sql)
     }
 
     /// Executes a batch, returning one outcome per statement **in
@@ -1085,8 +939,9 @@ impl Server {
 
     /// The shared mixed-batch driver. With `pin` set (session batches) read
     /// runs execute against the caller's pinned snapshot and the pin
-    /// advances past each of the caller's own commits; without it (server
-    /// batches) each read run pins the latest published snapshot.
+    /// advances to the snapshot each of the caller's own successful commits
+    /// published; without it (server batches) each read run pins the latest
+    /// published snapshot.
     fn batch_segmented(
         &self,
         mut pin: Option<&mut Arc<Database>>,
@@ -1100,17 +955,11 @@ impl Server {
         let mut i = 0;
         while i < stmts.len() {
             if is_write_statement(&stmts[i]) {
-                let db = self.core.snapshot();
-                let outcome = self.core.serve_one(&db, &stmts[i]);
-                let mut tally = Tally::default();
-                tally.absorb(&outcome);
-                self.core.fold(tally);
-                if let Some(p) = pin.as_deref_mut() {
-                    // Read-your-writes: the session's pin advances to the
-                    // snapshot its own commit just published.
-                    *p = self.core.snapshot();
-                }
-                out.push(outcome);
+                // Read-your-writes: a successful commit re-pins a session to
+                // the snapshot it published; a failed one leaves it alone.
+                let mut unpinned = self.core.snapshot();
+                let target = pin.as_deref_mut().unwrap_or(&mut unpinned);
+                out.push(self.core.serve_one(target, &stmts[i]));
                 i += 1;
             } else {
                 let end = stmts[i..]
@@ -1154,18 +1003,10 @@ impl Server {
         let fanout =
             if self.core.config.oversubscribe { workers } else { workers.min(self.hardware) };
         if fanout <= 1 || self.workers.is_empty() {
-            let mut tally = Tally::default();
+            let mut db = db;
             self.core.metrics.worker_started();
-            let outcomes: Vec<SqlResult<StatementOutcome>> = stmts
-                .iter()
-                .map(|sql| {
-                    let outcome = self.core.serve_one(&db, sql);
-                    tally.absorb(&outcome);
-                    outcome
-                })
-                .collect();
+            let outcomes = stmts.iter().map(|sql| self.core.serve_one(&mut db, sql)).collect();
             self.core.metrics.worker_finished();
-            self.core.fold(tally);
             return outcomes;
         }
         let _gate = self.batch_gate.lock();
@@ -1198,15 +1039,9 @@ impl Server {
             .collect()
     }
 
-    /// Aggregate serving counters.
-    pub fn snapshot_stats(&self) -> ServerStats {
-        ServerStats {
-            statements: self.core.statements.load(Ordering::Relaxed),
-            result_cache_hits: self.core.result_hits.load(Ordering::Relaxed),
-            prepared_statements: self.core.plans.len(),
-            totals: *self.core.totals.lock(),
-            slow_queries: self.core.slow_log.recorded(),
-        }
+    /// Distinct statements pinned in the shared plan cache.
+    pub fn prepared_statements(&self) -> usize {
+        self.core.plans.len()
     }
 
     /// A consistent point-in-time view of the serve metrics registry:
@@ -1260,14 +1095,7 @@ impl Session<'_> {
     /// into the session totals.
     pub fn execute(&mut self, sql: &str) -> SqlResult<StatementOutcome> {
         self.server.core.metrics.record_enqueue(1);
-        let write = is_write_statement(sql);
-        let outcome = self.server.core.serve_one(&self.db, sql);
-        if write && outcome.is_ok() {
-            self.db = self.server.core.snapshot();
-        }
-        let mut tally = Tally::default();
-        tally.absorb(&outcome);
-        self.server.core.fold(tally);
+        let outcome = self.server.core.serve_one(&mut self.db, sql);
         self.executed += 1;
         if let Ok(o) = &outcome {
             self.stats.merge(&o.stats);
@@ -1352,22 +1180,6 @@ mod tests {
         (0..3).flat_map(|_| stmts.iter().map(|s| s.to_string())).collect()
     }
 
-    /// `count` distinct valid statements that all hash to the same result
-    /// stripe of `server`.
-    fn same_stripe_statements(server: &Server, count: usize) -> Vec<String> {
-        let stripe = server.result_cache_shard_of("SELECT COUNT(*) FROM loan WHERE amount > 0");
-        let mut out = Vec::new();
-        let mut k = 0i64;
-        while out.len() < count {
-            let sql = format!("SELECT COUNT(*) FROM loan WHERE amount > {k}");
-            if server.result_cache_shard_of(&sql) == stripe {
-                out.push(sql);
-            }
-            k += 1;
-        }
-        out
-    }
-
     #[test]
     fn batch_results_match_direct_execution_in_submission_order() {
         let db = snapshot();
@@ -1397,9 +1209,9 @@ mod tests {
         let server = Server::new(snapshot(), ServeConfig::serial());
         let stmts = workload();
         server.execute_batch(&stmts);
-        let stats = server.snapshot_stats();
+        let stats = server.metrics_snapshot();
         assert_eq!(stats.statements, stmts.len() as u64);
-        assert_eq!(stats.prepared_statements, 4, "four distinct statements plan once each");
+        assert_eq!(server.prepared_statements(), 4, "four distinct statements plan once each");
         assert_eq!(
             stats.result_cache_hits,
             stmts.len() as u64 - 4,
@@ -1422,7 +1234,7 @@ mod tests {
                     ServeConfig::default().with_workers(workers).oversubscribed(),
                 );
                 server.execute_batch(&stmts);
-                let stats = server.snapshot_stats();
+                let stats = server.metrics_snapshot();
                 assert_eq!(
                     stats.result_cache_hits,
                     stmts.len() as u64 - distinct,
@@ -1443,7 +1255,7 @@ mod tests {
         let outcomes = server.execute_batch(&batch);
         let fresh = outcomes.iter().filter(|o| !o.as_ref().unwrap().from_result_cache).count();
         assert_eq!(fresh, 1, "exactly one submission executes; 63 are deduped");
-        assert_eq!(server.snapshot_stats().result_cache_hits, 63);
+        assert_eq!(server.metrics_snapshot().result_cache_hits, 63);
         for o in &outcomes {
             let o = o.as_ref().unwrap();
             assert_eq!(o.result.rows, outcomes[0].as_ref().unwrap().result.rows);
@@ -1463,7 +1275,7 @@ mod tests {
         for outcome in &outcomes {
             assert!(outcome.is_ok());
         }
-        assert_eq!(server.snapshot_stats().statements, stmts.len() as u64);
+        assert_eq!(server.metrics_snapshot().statements, stmts.len() as u64);
         assert_eq!(
             server.execute("SELECT COUNT(*) FROM loan").unwrap().result.rows[0][0],
             Value::Integer(30)
@@ -1471,51 +1283,53 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_can_be_disabled() {
-        let config = ServeConfig { cache_results: false, ..ServeConfig::serial() };
+    fn cap_two_evicts_the_least_recently_served_entry() {
+        // One global LRU: with cap 2, any three statements exercise the
+        // recency order deterministically.
+        let config = ServeConfig { result_cache_cap: 2, ..ServeConfig::serial() };
         let server = Server::new(snapshot(), config);
-        let stmts = workload();
-        let outcomes = server.execute_batch(&stmts);
-        assert!(outcomes.iter().all(|o| !o.as_ref().unwrap().from_result_cache));
-        assert_eq!(server.snapshot_stats().result_cache_hits, 0);
-        // Plans are still shared even when results are not.
-        assert_eq!(server.snapshot_stats().prepared_statements, 4);
-    }
-
-    #[test]
-    fn each_stripe_evicts_its_least_recently_served_entry() {
-        // Stripe cap 2 (cap = 2 × stripes), three statements pinned to the
-        // *same* stripe so the LRU order is exercised deterministically.
-        let db = snapshot();
-        let probe = Server::new(Arc::clone(&db), ServeConfig::serial());
-        let shards = probe.result_cache_shards();
-        let config = ServeConfig { result_cache_cap: 2 * shards, ..ServeConfig::serial() };
-        let server = Server::new(db, config);
-        assert_eq!(server.result_cache_stripe_cap(), 2);
-        let stmts = same_stripe_statements(&server, 3);
-        let (a, b, c) = (&stmts[0], &stmts[1], &stmts[2]);
-        let stripe = server.result_cache_shard_of(a);
+        let (a, b, c) = (
+            "SELECT COUNT(*) FROM loan WHERE amount > 1",
+            "SELECT COUNT(*) FROM loan WHERE amount > 2",
+            "SELECT COUNT(*) FROM account",
+        );
         server.execute(a).unwrap();
         server.execute(b).unwrap();
-        assert_eq!(server.result_cache_shard_lens()[stripe], 2);
+        assert_eq!(server.result_cache_len(), 2);
         assert_eq!(server.result_cache_evictions(), 0);
         // Touch `a` so `b` becomes the least-recently-served entry, then
-        // admit `c`: the stripe stays at its cap and `b` is the eviction.
+        // admit `c`: the cache stays at its cap and `b` is the eviction.
         assert!(server.execute(a).unwrap().from_result_cache);
         server.execute(c).unwrap();
-        assert_eq!(server.result_cache_shard_lens()[stripe], 2, "stripe cap is never exceeded");
+        assert_eq!(server.result_cache_len(), 2, "the cap is never exceeded");
         assert_eq!(server.result_cache_evictions(), 1);
         assert!(server.execute(a).unwrap().from_result_cache, "recently served entry survives");
         assert!(server.execute(c).unwrap().from_result_cache, "newcomer was admitted");
         assert!(
             !server.execute(b).unwrap().from_result_cache,
-            "evicted statement re-executes (and re-enters the stripe, evicting again)"
+            "evicted statement re-executes (and re-enters the cache, evicting again)"
         );
         assert_eq!(server.result_cache_evictions(), 2);
+        // `b` re-entered as most recent and `a` was the coldest, so `a` went.
+        assert!(server.execute(c).unwrap().from_result_cache);
+        assert!(!server.execute(a).unwrap().from_result_cache);
         // Correctness is cache-independent: the re-executed statement
         // returns the same rows it did before eviction.
         let before = execute(&server.database(), b).unwrap();
         assert_eq!(server.execute(b).unwrap().result.rows, before.rows);
+    }
+
+    #[test]
+    fn result_cache_can_be_disabled() {
+        // A zero cap is the one switch that turns result caching off.
+        let config = ServeConfig { result_cache_cap: 0, ..ServeConfig::serial() };
+        let server = Server::new(snapshot(), config);
+        let stmts = workload();
+        let outcomes = server.execute_batch(&stmts);
+        assert!(outcomes.iter().all(|o| !o.as_ref().unwrap().from_result_cache));
+        assert_eq!(server.metrics_snapshot().result_cache_hits, 0);
+        // Plans are still shared even when results are not.
+        assert_eq!(server.prepared_statements(), 4);
     }
 
     #[test]
@@ -1526,8 +1340,8 @@ mod tests {
         server.execute(sql).unwrap();
         assert!(!server.execute(sql).unwrap().from_result_cache);
         assert_eq!(server.result_cache_len(), 0);
-        assert_eq!(server.result_cache_stripe_cap(), 0);
-        assert_eq!(server.snapshot_stats().result_cache_hits, 0);
+        assert_eq!(server.result_cache_evictions(), 0);
+        assert_eq!(server.metrics_snapshot().result_cache_hits, 0);
     }
 
     #[test]
@@ -1558,7 +1372,7 @@ mod tests {
             assert_eq!(outcome.as_ref().unwrap_err(), &expected, "waiters share the same error");
         }
         assert_eq!(server.result_cache_len(), 0, "errors never become ready entries");
-        assert_eq!(server.snapshot_stats().result_cache_hits, 0);
+        assert_eq!(server.metrics_snapshot().result_cache_hits, 0);
     }
 
     #[test]
@@ -1603,7 +1417,7 @@ mod tests {
         let stmts = workload();
         server.execute_batch(&stmts);
         assert_eq!(
-            server.snapshot_stats().slow_queries,
+            server.metrics_snapshot().slow_queries,
             4,
             "one recording per canonical execution, none per cache hit"
         );
@@ -1617,7 +1431,7 @@ mod tests {
             assert!(q.cost > 0.0);
         }
         server.execute(&stmts[0]).unwrap();
-        assert_eq!(server.snapshot_stats().slow_queries, 4, "hit did not record");
+        assert_eq!(server.metrics_snapshot().slow_queries, 4, "hit did not record");
     }
 
     #[test]
@@ -1625,12 +1439,12 @@ mod tests {
         // The default 50ms threshold is far above these statements.
         let server = Server::new(snapshot(), ServeConfig::serial());
         server.execute_batch(&workload());
-        assert_eq!(server.snapshot_stats().slow_queries, 0);
+        assert_eq!(server.metrics_snapshot().slow_queries, 0);
         assert!(server.slow_queries().is_empty());
         // Cap 0 disables recording even at threshold 0.
         let off = Server::new(snapshot(), ServeConfig::serial().with_slow_query_log(0, 0));
         off.execute_batch(&workload());
-        assert_eq!(off.snapshot_stats().slow_queries, 0);
+        assert_eq!(off.metrics_snapshot().slow_queries, 0);
     }
 
     #[test]
@@ -1647,6 +1461,6 @@ mod tests {
         assert!(a.stats().rows_scanned > 0);
         // The repeat was a cache hit but still bills the canonical stats.
         assert_eq!(a.stats().rows_scanned % 2, 0);
-        assert_eq!(server.snapshot_stats().statements, 3);
+        assert_eq!(server.metrics_snapshot().statements, 3);
     }
 }

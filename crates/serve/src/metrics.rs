@@ -246,6 +246,7 @@ pub struct MetricsRegistry {
     rows_updated: AtomicU64,
     rows_deleted: AtomicU64,
     snapshot_version: AtomicU64,
+    slow_queries: AtomicU64,
     latency: [LatencyHistogram; StatementClass::ALL.len()],
 }
 
@@ -272,6 +273,7 @@ impl Default for MetricsRegistry {
             rows_updated: AtomicU64::new(0),
             rows_deleted: AtomicU64::new(0),
             snapshot_version: AtomicU64::new(0),
+            slow_queries: AtomicU64::new(0),
             latency: std::array::from_fn(|_| LatencyHistogram::default()),
         }
     }
@@ -347,6 +349,11 @@ impl MetricsRegistry {
         self.snapshot_version.store(version, Ordering::Relaxed);
     }
 
+    /// Records one canonical execution entering the slow-query log.
+    pub fn record_slow_query(&self) {
+        self.slow_queries.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A worker began draining work (busy-gauge increment).
     pub fn worker_started(&self) {
         self.workers_busy.fetch_add(1, Ordering::Relaxed);
@@ -382,6 +389,7 @@ impl MetricsRegistry {
             rows_updated: self.rows_updated.load(Ordering::Relaxed),
             rows_deleted: self.rows_deleted.load(Ordering::Relaxed),
             snapshot_version: self.snapshot_version.load(Ordering::Relaxed),
+            slow_queries: self.slow_queries.load(Ordering::Relaxed),
             classes: StatementClass::ALL
                 .iter()
                 .map(|&class| ClassLatency {
@@ -443,6 +451,10 @@ pub struct MetricsSnapshot {
     pub rows_deleted: u64,
     /// Version of the currently published snapshot (gauge).
     pub snapshot_version: u64,
+    /// Canonical executions recorded by the slow-query log (recorded, not
+    /// retained — the log itself keeps only the worst few). Timing-dependent
+    /// by nature: never part of any determinism check or cost accounting.
+    pub slow_queries: u64,
     /// Per-class latency histograms, in [`StatementClass::ALL`] order.
     pub classes: Vec<ClassLatency>,
 }
@@ -547,6 +559,11 @@ impl MetricsSnapshot {
         counter("serve_rows_inserted_total", "Rows inserted by commits", self.rows_inserted);
         counter("serve_rows_updated_total", "Rows updated by commits", self.rows_updated);
         counter("serve_rows_deleted_total", "Rows deleted by commits", self.rows_deleted);
+        counter(
+            "serve_slow_queries_total",
+            "Canonical executions recorded by the slow-query log",
+            self.slow_queries,
+        );
         let mut gauge = |name: &str, help: &str, value: u64| {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
         };
@@ -655,6 +672,7 @@ mod tests {
         m.record_statement(StatementClass::Simple, 500, true);
         m.record_engine_caches(3, 1, 0, 2);
         m.record_dedup_wait(2_000);
+        m.record_slow_query();
         let snap = m.snapshot();
         assert_eq!(snap.statements, 3);
         assert_eq!(snap.result_cache_hits, 2);
@@ -664,12 +682,14 @@ mod tests {
         assert_eq!(snap.subquery_cache_hit_ratio(), 0.0);
         assert_eq!(snap.queue_depth, 0, "all admitted statements were served");
         assert_eq!(snap.dedup_waits, 1);
+        assert_eq!(snap.slow_queries, 1);
         assert_eq!(snap.class_latency(StatementClass::Join).total(), 2);
         assert_eq!(snap.overall_latency().total(), 3);
         assert!(snap.worker_busy_nanos >= 22_500);
         let text = snap.render_prometheus();
         assert!(text.contains("serve_statements_total 3"));
         assert!(text.contains("serve_result_cache_hits_total 2"));
+        assert!(text.contains("serve_slow_queries_total 1"));
         assert!(text.contains("# TYPE serve_statement_latency_nanoseconds histogram"));
         assert!(text.contains("class=\"join\""));
         assert!(text.contains("le=\"+Inf\""));

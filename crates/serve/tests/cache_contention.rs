@@ -1,8 +1,7 @@
-//! Contention suite for the sharded result cache: 8 OS threads hammer one
-//! server at `result_cache_cap` boundaries and the per-stripe live-entry
-//! bound must hold throughout — including cap 0 (caching off) and caps
-//! smaller than the stripe count (every stripe degenerates to a one-entry
-//! LRU).
+//! Contention suite for the result cache: 8 OS threads hammer one server
+//! at `result_cache_cap` boundaries and the exact cap must hold after every
+//! call — including cap 0 (caching off) and caps far below the distinct
+//! statement count.
 //!
 //! These tests drive `Server::execute` from raw threads (not the server's
 //! own pool) so the cache sees genuinely unsynchronized admission traffic
@@ -31,10 +30,10 @@ fn distinct_statements(n: usize) -> Vec<String> {
 
 /// Hammers `server.execute` with `stmts` from 8 threads, each thread
 /// walking the statement list at a different stride so admissions,
-/// hits, and evictions interleave, asserting per-stripe bounds and row
-/// correctness after every call.
+/// hits, and evictions interleave, asserting the cap and row correctness
+/// after every call.
 fn hammer(server: &Server, stmts: &[String], rounds: usize) {
-    let stripe_cap = server.result_cache_stripe_cap();
+    let cap = server.config().result_cache_cap;
     std::thread::scope(|scope| {
         for t in 0..8usize {
             scope.spawn(move || {
@@ -45,12 +44,8 @@ fn hammer(server: &Server, stmts: &[String], rounds: usize) {
                         let outcome = server.execute(sql).unwrap();
                         let direct = execute(&server.database(), sql).unwrap();
                         assert_eq!(outcome.result.rows, direct.rows, "{sql}");
-                        for (stripe, len) in server.result_cache_shard_lens().iter().enumerate() {
-                            assert!(
-                                *len <= stripe_cap,
-                                "stripe {stripe} holds {len} ready entries, cap {stripe_cap}"
-                            );
-                        }
+                        let len = server.result_cache_len();
+                        assert!(len <= cap, "cache holds {len} ready entries, cap {cap}");
                     }
                 }
             });
@@ -58,48 +53,46 @@ fn hammer(server: &Server, stmts: &[String], rounds: usize) {
     });
 }
 
+fn server_with_cap(cap: usize) -> Server {
+    Server::new(
+        snapshot(),
+        ServeConfig { result_cache_cap: cap, ..ServeConfig::default().with_workers(8) },
+    )
+}
+
+/// Hammers a cache of `cap` entries with `distinct` (> cap) statements and
+/// checks the saturated cache sits exactly at its cap.
+fn assert_exact_bound_at_saturation(cap: usize, distinct: usize) {
+    let server = server_with_cap(cap);
+    hammer(&server, &distinct_statements(distinct), 6);
+    assert!(server.result_cache_evictions() > 0, "cap {cap} must exercise eviction");
+    assert_eq!(server.result_cache_len(), cap, "a saturated cache sits exactly at cap {cap}");
+}
+
+// The cache is one exact LRU, not a set of stripes; the next two tests keep
+// the names they had when it was striped and now assert the global bound.
+
 #[test]
 fn per_stripe_bound_holds_under_eight_thread_hammering_at_the_cap() {
-    let server = Server::new(
-        snapshot(),
-        ServeConfig { result_cache_cap: 16, ..ServeConfig::default().with_workers(8) },
-    );
-    let shards = server.result_cache_shards();
-    let stripe_cap = server.result_cache_stripe_cap();
-    assert_eq!(stripe_cap, 16usize.div_ceil(shards).max(1));
     // More distinct statements than the cache can hold: every thread keeps
     // forcing admissions and evictions.
-    hammer(&server, &distinct_statements(64), 6);
-    assert!(server.result_cache_evictions() > 0, "the workload must exercise eviction");
-    let total: usize = server.result_cache_shard_lens().iter().sum();
-    assert!(total <= shards * stripe_cap, "global bound: {total} > {shards} * {stripe_cap}");
+    assert_exact_bound_at_saturation(16, 64);
 }
 
 #[test]
 fn cap_smaller_than_the_stripe_count_degenerates_to_one_entry_stripes() {
-    let server = Server::new(
-        snapshot(),
-        ServeConfig { result_cache_cap: 3, ..ServeConfig::default().with_workers(8) },
-    );
-    assert!(server.result_cache_shards() > 3, "cap under test must be below the stripe count");
-    assert_eq!(server.result_cache_stripe_cap(), 1, "cap < stripes floors at one entry per stripe");
-    hammer(&server, &distinct_statements(32), 6);
-    for (stripe, len) in server.result_cache_shard_lens().iter().enumerate() {
-        assert!(*len <= 1, "stripe {stripe} exceeded its one-entry cap: {len}");
-    }
+    // A cap far below the thread count: admissions and evictions race on
+    // almost every call, and the bound is still exact, not rounded up.
+    assert_exact_bound_at_saturation(3, 32);
 }
 
 #[test]
 fn cap_zero_caches_nothing_under_concurrency() {
-    let server = Server::new(
-        snapshot(),
-        ServeConfig { result_cache_cap: 0, ..ServeConfig::default().with_workers(8) },
-    );
-    assert_eq!(server.result_cache_stripe_cap(), 0);
+    let server = server_with_cap(0);
     hammer(&server, &distinct_statements(16), 4);
     assert_eq!(server.result_cache_len(), 0, "cap 0 must never admit an entry");
     assert_eq!(server.result_cache_evictions(), 0);
-    assert_eq!(server.snapshot_stats().result_cache_hits, 0);
+    assert_eq!(server.metrics_snapshot().result_cache_hits, 0);
 }
 
 #[test]
@@ -111,7 +104,7 @@ fn repeated_hammering_with_a_roomy_cap_stays_at_the_distinct_set() {
     hammer(&server, &stmts, 4);
     assert_eq!(server.result_cache_len(), stmts.len());
     assert_eq!(server.result_cache_evictions(), 0);
-    let stats = server.snapshot_stats();
+    let stats = server.metrics_snapshot();
     // 8 threads x 4 rounds x 24 statements, 24 canonical executions; with
     // in-flight dedup every other submission is a hit.
     assert_eq!(stats.statements, 8 * 4 * 24);

@@ -113,20 +113,20 @@ fn result_cache_invalidates_by_dependency_not_by_snapshot() {
     // Prime both entries (two canonical executions, zero hits).
     server.execute(hot_read).unwrap();
     server.execute(cold_read).unwrap();
-    assert_eq!(server.snapshot_stats().result_cache_hits, 0);
+    assert_eq!(server.metrics_snapshot().result_cache_hits, 0);
 
     // Repeats hit.
     server.execute(hot_read).unwrap();
     server.execute(cold_read).unwrap();
-    assert_eq!(server.snapshot_stats().result_cache_hits, 2);
+    assert_eq!(server.metrics_snapshot().result_cache_hits, 2);
 
     // Commit against `hot`: the cold entry survives the snapshot change,
     // the hot entry misses and re-executes.
     server.execute("INSERT INTO hot VALUES (500, 1, 'new')").unwrap();
     server.execute(cold_read).unwrap();
-    assert_eq!(server.snapshot_stats().result_cache_hits, 3, "untouched-table entry still hits");
+    assert_eq!(server.metrics_snapshot().result_cache_hits, 3, "untouched-table entry still hits");
     let hot_after = server.execute(hot_read).unwrap();
-    assert_eq!(server.snapshot_stats().result_cache_hits, 3, "touched-table entry must miss");
+    assert_eq!(server.metrics_snapshot().result_cache_hits, 3, "touched-table entry must miss");
     assert!(!hot_after.from_result_cache);
     // The re-executed result reflects the commit.
     assert!(hot_after
@@ -137,7 +137,7 @@ fn result_cache_invalidates_by_dependency_not_by_snapshot() {
 
     // And the freshly admitted post-commit entry hits again.
     server.execute(hot_read).unwrap();
-    assert_eq!(server.snapshot_stats().result_cache_hits, 4);
+    assert_eq!(server.metrics_snapshot().result_cache_hits, 4);
 }
 
 /// Staleness regression at the serve layer: the shared plan cache keeps one
@@ -163,4 +163,26 @@ fn prepared_statements_cached_across_commits_re_snapshot() {
     assert!(after.iter().any(|r| r[1] == "rewritten"));
     // The pinned session replays its snapshot, byte-identical.
     assert_eq!(rendered(&pinned.execute(sql).unwrap().result.rows), before);
+}
+
+/// Regression: a *failed* write inside a session batch must not move the
+/// session's pin. The session opens at v0, another client commits v1, and
+/// the session's batch then runs an insert into a missing table: the
+/// insert fails, so the session must keep reading v0.
+#[test]
+fn failed_write_in_a_session_batch_keeps_the_pin() {
+    let server = Server::new(snapshot(), ServeConfig::serial());
+    let mut session = server.session();
+    let pinned_version = session.snapshot_version();
+    let count = "SELECT COUNT(*) FROM hot";
+    let before = rendered(&session.execute(count).unwrap().result.rows);
+    server.execute("INSERT INTO hot VALUES (900, 1, 'other client')").unwrap();
+    assert!(server.snapshot_version() > pinned_version);
+
+    let batch = vec!["INSERT INTO missing VALUES (1, 2, 'x')".to_string(), count.to_string()];
+    let outcomes = session.execute_batch(&batch);
+    assert!(outcomes[0].is_err(), "the insert into a missing table fails");
+    assert_eq!(session.snapshot_version(), pinned_version, "a failed write must not re-pin");
+    assert_eq!(rendered(&outcomes[1].as_ref().unwrap().result.rows), before);
+    assert_eq!(rendered(&session.execute(count).unwrap().result.rows), before);
 }

@@ -114,8 +114,8 @@ pub use exec::{
 };
 pub use explain::{explain_analyze_text, explain_sql, explain_statement, explain_text};
 pub use mutate::{
-    commit_statement, commit_statement_rebuild, is_write_statement, statement_dependencies,
-    CommitOutcome, MutationKind, PlannedMutation,
+    commit_statement, is_write_statement, statement_dependencies, CommitOutcome, MutationKind,
+    PlannedMutation,
 };
 pub use parser::{parse_select, parse_statement};
 pub use plan::{

@@ -16,11 +16,11 @@
 //!    path — clone the database (cheap: tables are [`std::sync::Arc`]
 //!    shared), copy-on-write only the touched table, and maintain its PK
 //!    index, columnar chunks, and BM25 text indexes *incrementally*.
-//!    [`commit_statement_rebuild`] is the naive reference — materialize the
-//!    post-mutation rows and rebuild a fresh database from the schema, so
-//!    every index and chunk is built from scratch. `snapshot_props.rs`
-//!    asserts the two are observably identical (rows, probes, chunks,
-//!    searches, query results in both plan modes) on randomized
+//!    The naive reference — materialize the post-mutation rows and rebuild
+//!    a fresh database from the schema, so every index and chunk is built
+//!    from scratch — lives with its only user, the `snapshot_props.rs`
+//!    test, which asserts the two are observably identical (rows, probes,
+//!    chunks, searches, query results in both plan modes) on randomized
 //!    workloads.
 //!
 //! Because both paths share one planning step, any divergence the oracle
@@ -285,86 +285,6 @@ pub fn apply_planned(db: &Database, planned: PlannedMutation) -> SqlResult<Commi
     Ok(CommitOutcome { db: next, table, kind, rows_affected, result })
 }
 
-/// Applies a planned mutation by **rebuilding everything**: materialize the
-/// post-mutation row stores, then construct a fresh database from the
-/// schema and re-insert every row of every table, so each PK index,
-/// columnar chunk, and text index is built from scratch with no incremental
-/// step anywhere. Deliberately naive — this is the reference implementation
-/// the differential oracle compares [`apply_planned`] against.
-pub fn apply_planned_rebuild(db: &Database, planned: PlannedMutation) -> SqlResult<CommitOutcome> {
-    // Resolve the post-mutation rows per table, in plain vectors.
-    let mut schema = db.schema().clone();
-    let mut contents: Vec<(String, Vec<Row>)> = db
-        .schema()
-        .tables
-        .iter()
-        .map(|t| (t.name.clone(), db.table(&t.name).map(|t| t.rows().to_vec())))
-        .map(|(n, r)| r.map(|rows| (n, rows)))
-        .collect::<SqlResult<Vec<_>>>()?;
-    let (table, kind, rows_affected) = match planned {
-        PlannedMutation::Insert { table, rows } => {
-            let n = rows.len();
-            let slot = find_table(&mut contents, &table)?;
-            slot.extend(rows);
-            (table, MutationKind::Insert, n)
-        }
-        PlannedMutation::Update { table, changes } => {
-            let n = changes.len();
-            let slot = find_table(&mut contents, &table)?;
-            for (pos, row) in changes {
-                slot[pos] = row;
-            }
-            (table, MutationKind::Update, n)
-        }
-        PlannedMutation::Delete { table, positions } => {
-            let n = positions.len();
-            let slot = find_table(&mut contents, &table)?;
-            let mut i = 0usize;
-            let mut doomed = positions.iter().copied().peekable();
-            slot.retain(|_| {
-                let hit = doomed.peek() == Some(&i);
-                if hit {
-                    doomed.next();
-                }
-                i += 1;
-                !hit
-            });
-            (table, MutationKind::Delete, n)
-        }
-        PlannedMutation::CreateTable { schema: ts, foreign_keys } => {
-            let name = ts.name.to_ascii_lowercase();
-            schema.add_table(ts.clone())?;
-            for fk in foreign_keys {
-                schema.add_foreign_key(fk);
-            }
-            contents.push((ts.name, Vec::new()));
-            (name, MutationKind::CreateTable, 0)
-        }
-    };
-    let mut next = Database::from_schema(schema);
-    for (name, rows) in contents {
-        next.insert_many(&name, rows)?;
-    }
-    // Match the production path's version arithmetic so the two snapshots
-    // are version-observably identical too.
-    for _ in 0..db.version() + 1 {
-        next.bump_version();
-    }
-    let result = mutation_result(kind, rows_affected);
-    Ok(CommitOutcome { db: next, table, kind, rows_affected, result })
-}
-
-fn find_table<'a>(
-    contents: &'a mut [(String, Vec<Row>)],
-    table: &str,
-) -> SqlResult<&'a mut Vec<Row>> {
-    contents
-        .iter_mut()
-        .find(|(n, _)| n.eq_ignore_ascii_case(table))
-        .map(|(_, rows)| rows)
-        .ok_or_else(|| SqlError::UnknownTable(table.to_string()))
-}
-
 fn mutation_result(kind: MutationKind, rows_affected: usize) -> ResultSet {
     let header = match kind {
         MutationKind::Insert => "rows_inserted",
@@ -385,15 +305,6 @@ fn mutation_result(kind: MutationKind, rows_affected: usize) -> ResultSet {
 pub fn commit_statement(db: &Database, sql: &str) -> SqlResult<CommitOutcome> {
     let stmt = crate::parser::parse_statement(sql)?;
     apply_planned(db, plan_mutation(db, &stmt)?)
-}
-
-/// Parses and commits one mutation statement through the rebuild-everything
-/// reference path. Planning is shared with [`commit_statement`], so any
-/// observable difference between the two outcomes is a defect in the
-/// incremental maintenance machinery.
-pub fn commit_statement_rebuild(db: &Database, sql: &str) -> SqlResult<CommitOutcome> {
-    let stmt = crate::parser::parse_statement(sql)?;
-    apply_planned_rebuild(db, plan_mutation(db, &stmt)?)
 }
 
 #[cfg(test)]
@@ -491,25 +402,5 @@ mod tests {
         assert_eq!(statement_dependencies(&stmt), vec!["t", "u"]);
         let stmt = crate::parse_statement("DELETE FROM t WHERE id IN (SELECT id FROM u)").unwrap();
         assert_eq!(statement_dependencies(&stmt), vec!["t", "u"]);
-    }
-
-    #[test]
-    fn rebuild_reference_matches_incremental_on_a_smoke_case() {
-        let db = db();
-        for sql in [
-            "INSERT INTO t VALUES (100, 'new', 1000)",
-            "UPDATE t SET name = 'renamed' WHERE id < 3",
-            "DELETE FROM t WHERE v >= 70",
-        ] {
-            let fast = commit_statement(&db, sql).unwrap();
-            let slow = commit_statement_rebuild(&db, sql).unwrap();
-            assert_eq!(fast.rows_affected, slow.rows_affected, "{sql}");
-            assert_eq!(fast.db.version(), slow.db.version(), "{sql}");
-            assert_eq!(
-                fast.db.table("t").unwrap().rows(),
-                slow.db.table("t").unwrap().rows(),
-                "{sql}"
-            );
-        }
     }
 }

@@ -17,12 +17,9 @@
 //!
 //! The cache is `Sync` and lock-cheap by construction:
 //!
-//! * the statement registry is **sharded**: entries are striped across
-//!   [`SharedPlanCache::shards`] independent [`parking_lot::RwLock`]ed maps
-//!   by the hash of `(database name, SQL text)`, so concurrent workers
-//!   looking up *different* statements never touch the same lock, and
-//!   lookups of already-prepared statements take a per-stripe read lock
-//!   only;
+//! * the statement registry sits behind one [`parking_lot::RwLock`]:
+//!   lookups of already-prepared statements (the hot path) share its read
+//!   lock, and only a statement's first sighting takes the write lock;
 //! * each entry's accumulated [`PlanCache`] sits behind its own
 //!   [`parking_lot::Mutex`] and is *cloned out* (a few `Arc` refcount bumps)
 //!   for the duration of execution, so no lock is held while a query runs;
@@ -39,7 +36,6 @@
 //! the whole `SharedPlanCache` drops, taking the plans with them.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -141,62 +137,27 @@ impl PreparedStatement {
     }
 }
 
-/// Stripe count used by [`SharedPlanCache::new`]. Sized so a serving worker
-/// pool (default 4, commonly 8) sees more stripes than workers — two
-/// workers preparing *different* statements virtually never contend.
-const DEFAULT_PLAN_SHARDS: usize = 16;
-
-/// One lock stripe of the registry. The map is two-level — database name,
-/// then SQL text — so the hot lookup path can probe with borrowed `&str`s
-/// and never allocates a key; only first-sight insertion owns strings.
-type PlanShard = RwLock<HashMap<String, HashMap<String, Arc<PreparedStatement>>>>;
-
 /// A process-wide plan cache: SQL text in, pinned AST + accumulated plans
-/// out, shared safely across threads. The registry is striped across
-/// independent locks (see [`SharedPlanCache::with_shards`]) so concurrent
-/// preparation of distinct statements is contention-free.
+/// out, shared safely across threads behind one [`RwLock`]: lookups of
+/// already-prepared statements share the read lock, and only first-sight
+/// insertion takes the write lock.
 ///
 /// Keys include the database *name* so one cache can serve a whole benchmark
 /// (plans depend on schema metadata, which differs per database). Callers
 /// must not feed two different databases with the same name through one
 /// cache — within a `Benchmark` or a `seed-serve` server that cannot happen.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SharedPlanCache {
-    shards: Box<[PlanShard]>,
-}
-
-impl Default for SharedPlanCache {
-    fn default() -> Self {
-        SharedPlanCache::with_shards(DEFAULT_PLAN_SHARDS)
-    }
+    /// Database name, then SQL text — two levels so the hot lookup path can
+    /// probe with borrowed `&str`s and never allocates a key; only
+    /// first-sight insertion owns strings.
+    registry: RwLock<HashMap<String, HashMap<String, Arc<PreparedStatement>>>>,
 }
 
 impl SharedPlanCache {
-    /// Creates an empty shared cache with the default stripe count.
+    /// Creates an empty shared cache.
     pub fn new() -> Self {
         SharedPlanCache::default()
-    }
-
-    /// Creates an empty shared cache striped across at least `shards`
-    /// independent locks (rounded up to a power of two, minimum 1). Callers
-    /// that know their worker count pass it here so no two workers are
-    /// forced onto the same stripe by construction.
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        SharedPlanCache { shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect() }
-    }
-
-    /// Number of stripes the registry is spread across.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, db_name: &str, sql: &str) -> &PlanShard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        db_name.hash(&mut hasher);
-        sql.hash(&mut hasher);
-        // The stripe count is a power of two, so masking is a uniform map.
-        &self.shards[(hasher.finish() as usize) & (self.shards.len() - 1)]
     }
 
     /// Returns the pinned prepared statement for `sql` against the named
@@ -204,13 +165,12 @@ impl SharedPlanCache {
     /// malformed statement re-reports its error each time, like the
     /// unprepared path).
     pub fn prepare(&self, db_name: &str, sql: &str) -> SqlResult<Arc<PreparedStatement>> {
-        let shard = self.shard_for(db_name, sql);
         // Hot path: borrowed-key probe, no allocation per served statement.
-        if let Some(entry) = shard.read().get(db_name).and_then(|stmts| stmts.get(sql)) {
+        if let Some(entry) = self.registry.read().get(db_name).and_then(|stmts| stmts.get(sql)) {
             return Ok(Arc::clone(entry));
         }
         let prepared = Arc::new(PreparedStatement::parse(sql)?);
-        let mut entries = shard.write();
+        let mut entries = self.registry.write();
         // Another thread may have prepared the same statement between the
         // read and write locks; keep the first entry so its accumulated
         // plans are not discarded.
@@ -244,14 +204,14 @@ impl SharedPlanCache {
         self.prepare(db.name(), sql)?.execute_profiled(db, mode)
     }
 
-    /// Number of prepared statements currently pinned, across all stripes.
+    /// Number of prepared statements currently pinned.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().values().map(HashMap::len).sum::<usize>()).sum()
+        self.registry.read().values().map(HashMap::len).sum()
     }
 
     /// True when nothing has been prepared yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().values().all(HashMap::is_empty))
+        self.registry.read().values().all(HashMap::is_empty)
     }
 }
 
@@ -383,27 +343,17 @@ mod tests {
     }
 
     #[test]
-    fn striped_registry_counts_entries_across_all_shards() {
+    fn registry_counts_every_prepared_statement() {
         let d = db();
-        let cache = SharedPlanCache::with_shards(4);
-        assert_eq!(cache.shards(), 4);
-        // 32 distinct statements: with 4 stripes and a uniform hash they
-        // cannot all land on one stripe, yet len() must still see them all.
+        let cache = SharedPlanCache::new();
         for i in 0..32 {
             cache.prepare(d.name(), &format!("SELECT id FROM t WHERE id > {i}")).unwrap();
         }
         assert_eq!(cache.len(), 32);
         assert!(!cache.is_empty());
-        // Re-preparing is idempotent per stripe.
+        // Re-preparing is idempotent.
         cache.prepare(d.name(), "SELECT id FROM t WHERE id > 0").unwrap();
         assert_eq!(cache.len(), 32);
-    }
-
-    #[test]
-    fn shard_count_rounds_up_to_a_power_of_two() {
-        assert_eq!(SharedPlanCache::with_shards(0).shards(), 1);
-        assert_eq!(SharedPlanCache::with_shards(3).shards(), 4);
-        assert_eq!(SharedPlanCache::with_shards(16).shards(), 16);
     }
 
     #[test]

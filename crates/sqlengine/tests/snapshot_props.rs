@@ -3,8 +3,9 @@
 //! Every property pits the production commit path (`commit_statement`:
 //! clone-and-COW the touched table, maintain PK hash indexes, BM25 text
 //! indexes, and columnar chunks *incrementally*) against the naive reference
-//! (`commit_statement_rebuild`: materialize the post-mutation rows and
-//! rebuild a fresh database, every index built from scratch). The two share
+//! (`rebuild_oracle::commit_statement_rebuild`: materialize the
+//! post-mutation rows and rebuild a fresh database, every index built from
+//! scratch). The two share
 //! one planning step, so any divergence is necessarily in the incremental
 //! maintenance machinery.
 //!
@@ -25,10 +26,13 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rebuild_oracle::commit_statement_rebuild;
 use seed_sqlengine::{
-    commit_statement, commit_statement_rebuild, execute_with_stats_mode, ColumnDef, DataType,
-    Database, PlanMode, PreparedStatement, TableSchema, Value,
+    commit_statement, execute_with_stats_mode, ColumnDef, DataType, Database, PlanMode,
+    PreparedStatement, TableSchema, Value,
 };
+
+mod rebuild_oracle;
 
 /// Word list for text cells: multi-token documents so BM25 indexes see
 /// realistic term-frequency/document-length variation, with shared tokens
@@ -239,6 +243,36 @@ fn oracle_holds_on_adversarial_fixed_programs() {
     .enumerate()
     {
         run_oracle_case(program, 10_000 + i);
+    }
+}
+
+/// A single-table smoke case of the oracle, one statement of each kind
+/// against the same base snapshot.
+#[test]
+fn rebuild_reference_matches_incremental_on_a_smoke_case() {
+    let mut db = Database::new("m");
+    db.create_table(TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("id", DataType::Integer).primary_key(),
+            ColumnDef::new("name", DataType::Text),
+            ColumnDef::new("v", DataType::Integer),
+        ],
+    ))
+    .unwrap();
+    for i in 0..10i64 {
+        db.insert("t", vec![i.into(), format!("row{i}").into(), (i * 10).into()]).unwrap();
+    }
+    for sql in [
+        "INSERT INTO t VALUES (100, 'new', 1000)",
+        "UPDATE t SET name = 'renamed' WHERE id < 3",
+        "DELETE FROM t WHERE v >= 70",
+    ] {
+        let fast = commit_statement(&db, sql).unwrap();
+        let slow = commit_statement_rebuild(&db, sql).unwrap();
+        assert_eq!(fast.rows_affected, slow.rows_affected, "{sql}");
+        assert_eq!(fast.db.version(), slow.db.version(), "{sql}");
+        assert_eq!(fast.db.table("t").unwrap().rows(), slow.db.table("t").unwrap().rows(), "{sql}");
     }
 }
 

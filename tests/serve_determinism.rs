@@ -71,7 +71,7 @@ fn serve_batches_match_serial_execution_at_every_worker_count() {
                 // canonical execution per distinct statement, every other
                 // submission a hit, independent of scheduling.
                 assert_eq!(
-                    server.snapshot_stats().result_cache_hits,
+                    server.metrics_snapshot().result_cache_hits,
                     (batch.len() - distinct.len()) as u64,
                     "result_cache_hits must be exact at {workers} workers on {}",
                     db.name()
@@ -136,7 +136,7 @@ fn serve_result_cache_serves_repeats_without_changing_anything() {
         assert_eq!(fresh.result.rows, repeat.result.rows, "{}", batch[i]);
         assert_eq!(fresh.stats, repeat.stats, "cached stats bill the canonical execution");
     }
-    let stats = server.snapshot_stats();
+    let stats = server.metrics_snapshot();
     // Distinct questions can share one gold query, so hits exceed the
     // repeated half exactly by the intra-half duplicates.
     let distinct: HashSet<&String> = batch.iter().collect();

@@ -153,7 +153,7 @@ fn mixed_batches_are_deterministic_across_worker_counts() {
             let reads = batch.len()
                 - batch.iter().filter(|s| seed_repro::sqlengine::is_write_statement(s)).count();
             assert!(
-                server.snapshot_stats().result_cache_hits
+                server.metrics_snapshot().result_cache_hits
                     <= (reads - distinct_reads.len().min(reads)) as u64,
                 "cache hits cannot exceed repeated reads"
             );
