@@ -17,14 +17,13 @@
 //!   engine cost) with a Zipf-style repeat count (rank r repeats
 //!   ~12/(r+1)x): a few heavy, hot statements in front of a long cheap
 //!   tail. Fixed per-worker chunking would hand one worker all the heavy
-//!   statements; the pool's work-stealing cursor keeps everyone busy.
+//!   statements; the fan-out's work-stealing cursor keeps everyone busy.
 //!
 //! The serial baseline is the path the repo used before the serving
 //! runtime existed — a fresh parse + plan + execution per statement, no
-//! sharing of anything. Timed regions cover statement execution only:
-//! servers (and their persistent worker pools) are constructed before the
-//! clock starts, mirroring a long-lived serving process where pool
-//! startup is paid once, not per batch.
+//! sharing of anything. Servers are constructed before the clock starts,
+//! mirroring a long-lived serving process; a timed batch pays its own
+//! scoped thread spawns, since each read run fans out on its own.
 //!
 //! Measurement: configurations are sampled in interleaved rounds — every
 //! configuration once per round, [`SAMPLES`] rounds, in a fresh seeded
@@ -174,8 +173,8 @@ fn run_baseline(loads: &[DbWorkload]) -> (f64, Vec<Vec<ResultSet>>) {
 
 /// One serving sweep: [`PASSES`] passes, each over fresh servers per
 /// database (empty caches, the cold path a new snapshot faces),
-/// constructed — worker pool and all — before the clock starts. Only
-/// `execute_batch` is timed; the summed seconds are returned.
+/// constructed before the clock starts. Only `execute_batch` is timed,
+/// scoped thread spawns included; the summed seconds are returned.
 fn run_serve(loads: &[DbWorkload], workers: usize) -> (f64, Vec<Vec<ResultSet>>, u64, u64) {
     let mut elapsed = 0.0;
     let mut all = Vec::new();
@@ -263,8 +262,8 @@ fn main() {
         }
 
         let baseline_qps = peak_qps(total, &baseline_secs);
-        // Worker counts whose effective batch fan-out coincides (the pool
-        // never makes more than `available_parallelism` workers runnable)
+        // Worker counts whose effective batch fan-out coincides (a batch
+        // never fans out past `available_parallelism` threads)
         // serve through *identical* code paths, so their rounds are draws
         // from one distribution: pool them and report the pooled peak for
         // each such row — the tightest estimate available, and immune to
@@ -301,7 +300,7 @@ fn main() {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json = format!(
         "{{\n  \"command\": \"cargo run --release -p seed-bench --bin serve_bench\",\n  \
-         \"note\": \"Workloads over every join/subquery gold query of both corpora (scale {:.2}): 'repeated_x6' repeats each statement six times, seeded-shuffled (result-cache + in-flight-dedup path); 'unique' runs each statement once (pure serving overhead, every statement a miss); 'skewed' orders statements most-expensive-first with Zipf-decaying repeats (work-stealing balance check). Serial baseline = the pre-serve path (fresh parse+plan+execute per statement). Serve = Server::execute_batch over the shared plan and result caches with in-flight dedup; results verified byte-identical to the baseline for every statement at every worker count; result_cache_hits are exact (statements - distinct) by dedup. Servers (and their persistent worker pools) are constructed outside the timed region, as in a long-lived serving process. Configurations are timed in interleaved rounds (a fresh seeded permutation of baseline + every worker count, each round) and each reports its best round: the shared host's throughput wanders between regimes by tens of percent but is bounded above by the hardware ceiling, so per-configuration peaks are the stable, comparable statistic, and neither drift nor predecessor cache-warming can masquerade as a worker-count effect. Worker counts with the same effective_fanout (= min(workers, available_parallelism)) serve through identical code paths by construction, so their rounds are pooled into one shared peak. Host exposes {} CPU(s) to this process, so worker counts beyond 1 cannot add wall-clock scaling here; the bar on this host is that they no longer subtract it (no negative scaling). A batch wakes at most min(workers, statements, available_parallelism) pool threads — waking workers the CPU cannot run only costs futex round-trips and context switches — so on this host every worker count serves through the same single-runnable-worker path and differences between rows are measurement noise; on multi-core hosts the same configs fan out and add thread scaling.\",\n  \"available_parallelism\": {},\n{}\n}}\n",
+         \"note\": \"Workloads over every join/subquery gold query of both corpora (scale {:.2}): 'repeated_x6' repeats each statement six times, seeded-shuffled (result-cache + in-flight-dedup path); 'unique' runs each statement once (pure serving overhead, every statement a miss); 'skewed' orders statements most-expensive-first with Zipf-decaying repeats (work-stealing balance check). Serial baseline = the pre-serve path (fresh parse+plan+execute per statement). Serve = Server::execute_batch over the shared plan and result caches with in-flight dedup; results verified byte-identical to the baseline for every statement at every worker count; result_cache_hits are exact (statements - distinct) by dedup. Servers are constructed outside the timed region, as in a long-lived serving process; each read run of a batch spawns and joins its helper threads (std::thread::scope) inside it, so per-batch spawn cost is measured. Configurations are timed in interleaved rounds (a fresh seeded permutation of baseline + every worker count, each round) and each reports its best round: the shared host's throughput wanders between regimes by tens of percent but is bounded above by the hardware ceiling, so per-configuration peaks are the stable, comparable statistic, and neither drift nor predecessor cache-warming can masquerade as a worker-count effect. Worker counts with the same effective_fanout (= min(workers, available_parallelism)) serve through identical code paths by construction, so their rounds are pooled into one shared peak. Host exposes {} CPU(s) to this process. A read run fans out to min(workers, statements, available_parallelism) threads, the caller included, so worker counts above the CPU count serve exactly like a worker count equal to it; on bigger hosts the same configs fan out further.\",\n  \"available_parallelism\": {},\n{}\n}}\n",
         config.scale,
         cpus,
         cpus,

@@ -2,9 +2,8 @@
 //!
 //! A concurrent query-serving runtime for the SEED reproduction's SQL
 //! engine: submit a batch of SQL statements (or a whole eval workload) and
-//! get per-statement results back **in submission order**, executed by a
-//! persistent worker pool against `Arc`-shared, versioned [`Database`]
-//! snapshots.
+//! get per-statement results back **in submission order**, fanned out over
+//! scoped threads against `Arc`-shared, versioned [`Database`] snapshots.
 //!
 //! ## Snapshot / write model
 //!
@@ -26,8 +25,8 @@
 //! version, regardless of concurrent commits, until the session itself
 //! commits — its own writes re-pin it to the snapshot they published
 //! (read-your-writes). Mixed batches are split into **read runs** —
-//! consecutive reads served in parallel by the worker pool against the
-//! snapshot current at run start — separated by writes, each committed
+//! consecutive reads served in parallel against the snapshot current at
+//! run start — separated by writes, each committed
 //! serially in submission order. That structure makes a mixed batch's
 //! per-statement results and final snapshot identical at any worker count.
 //!
@@ -83,30 +82,28 @@
 //! get the same (deterministic) error, `Abandoned` waiters loop back and
 //! re-attempt admission themselves.
 //!
-//! ## Worker pool
+//! ## Fan-out
 //!
-//! [`Server::new`] spawns `min(workers, available_parallelism) − 1`
-//! persistent threads (all `workers − 1` with
-//! [`ServeConfig::oversubscribe`]) that park on a condvar between batches
-//! (the calling thread is the final worker), and returns only once every
-//! pool thread is parked, so [`Server::execute_batch`] pays no
-//! thread-spawn or thread-startup cost per batch. Workers
-//! pull statements off a shared atomic cursor — work stealing, not fixed
-//! chunking — so a skewed batch (a few expensive statements among many
-//! cheap ones) keeps every worker busy until the cursor is drained.
+//! Each read run of [`Server::execute_batch`] is served by `min(workers,
+//! statements, available_parallelism)` threads: the calling thread plus
+//! helpers spawned for that run alone with [`std::thread::scope`] and
+//! joined before it returns. `available_parallelism` is sampled once, in
+//! [`Server::new`]; a thread the CPU cannot run alongside the others could
+//! only add context switches. A server keeps no idle threads and
+//! constructing one spawns none; the price is paid per read run instead —
+//! a scoped spawn plus join, and a fresh stack the helper faults in page by
+//! page (about 60 µs per run all told on a 2-vCPU VM). Every
+//! thread pulls statement indices off one atomic cursor — work stealing,
+//! not fixed chunking — so a skewed run (a few expensive statements among
+//! many cheap ones) keeps every thread busy until the cursor drains.
 //! Results land in their submission slots, so output order never depends
-//! on scheduling.
+//! on scheduling. A run with a fan-out of one is served by the caller
+//! alone, and concurrent batches each fan out on their own.
 //!
-//! A batch likewise wakes at most `min(workers, statements,
-//! available_parallelism)` workers — waking a parked thread the CPU
-//! cannot run costs a futex round-trip plus two context switches per
-//! batch and can only subtract throughput, which is exactly the "more
-//! workers, less qps" regression this crate exists to avoid. When the
-//! bound leaves a batch with a single runnable worker, the caller serves
-//! it inline with no job-board traffic at all. The configured worker
-//! count is the ceiling the same config reaches on bigger hardware; tests
-//! that must drive the cross-thread machinery on any host opt into
-//! [`ServeConfig::oversubscribe`].
+//! A statement that panics stops only its own thread: the others finish
+//! the run, then the panic resumes on the caller with its original payload,
+//! just as on the serial path. Each thread's share of the `workers_busy`
+//! gauge is a drop guard, so the gauge reads 0 again afterwards.
 //!
 //! ## Determinism contract
 //!
@@ -121,7 +118,9 @@
 //! canonical execution — remain scheduling-dependent, and those are
 //! excluded from `cost()`. The workspace determinism suite
 //! (`tests/serve_determinism.rs`) pins this contract against both gold
-//! corpora at 1, 2, and 8 workers.
+//! corpora at 1, 2, and 8 configured workers (each read run fans out to at
+//! most `available_parallelism` threads); the crate's unit tests drive the
+//! fan-out itself at 8 threads on any host.
 //!
 //! ## Observability
 //!
@@ -145,7 +144,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -164,10 +162,9 @@ pub use metrics::{
 /// Configuration for a [`Server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Worker threads used by [`Server::execute_batch`]. `1` serves
-    /// strictly serially (no threads are spawned). `0` is treated as `1`
-    /// everywhere — [`Server::new`] and batch admission both clamp, so a
-    /// zero written via a struct literal can never reach the pool.
+    /// Most threads one read run of [`Server::execute_batch`] fans out to,
+    /// the calling thread included; the host's `available_parallelism`
+    /// caps it further. `1` serves strictly serially, and so does `0`.
     pub workers: usize,
     /// Maximum number of statement results the result cache holds — an
     /// exact bound: publishing a new result past it evicts the
@@ -175,16 +172,6 @@ pub struct ServeConfig {
     /// (and in-flight dedup) entirely, e.g. to measure raw execution
     /// throughput.
     pub result_cache_cap: usize,
-    /// Allow more workers than the host has hardware threads. Off by
-    /// default: a worker thread beyond `available_parallelism()` can never
-    /// run concurrently with the others — it only adds thread-startup
-    /// cost, a futex round-trip and two context switches per batch it is
-    /// woken for, and scheduler pressure — so the pool spawns and wakes at
-    /// most `available_parallelism()` workers. The configured count is
-    /// still the ceiling the same config reaches on bigger hardware.
-    /// Tests that need to drive the cross-thread batch machinery
-    /// regardless of host size turn this on.
-    pub oversubscribe: bool,
     /// Canonical executions whose measured wall-clock time reaches this
     /// many nanoseconds are recorded in the slow-query log (SQL text,
     /// rendered plan, per-operator profile). `0` records every canonical
@@ -201,7 +188,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             result_cache_cap: 1024,
-            oversubscribe: false,
             // 50ms: far above anything the in-memory engine serves under
             // test, so the log is quiet by default; operators lower it.
             slow_query_threshold_nanos: 50_000_000,
@@ -218,26 +204,13 @@ impl ServeConfig {
 
     /// Same configuration with a different worker count.
     pub fn with_workers(self, workers: usize) -> Self {
-        ServeConfig { workers: workers.max(1), ..self }
-    }
-
-    /// Same configuration with oversubscription allowed: batches may make
-    /// all configured workers runnable even past the host's hardware
-    /// threads. See [`ServeConfig::oversubscribe`].
-    pub fn oversubscribed(self) -> Self {
-        ServeConfig { oversubscribe: true, ..self }
+        ServeConfig { workers, ..self }
     }
 
     /// Same configuration with a slow-query log keeping the `cap` worst
     /// statements at or above `threshold_nanos` measured nanoseconds.
     pub fn with_slow_query_log(self, threshold_nanos: u64, cap: usize) -> Self {
         ServeConfig { slow_query_threshold_nanos: threshold_nanos, slow_query_log_cap: cap, ..self }
-    }
-
-    /// The worker count the pool actually runs with: struct-literal zeros
-    /// are clamped to serial here and at every admission point.
-    fn effective_workers(&self) -> usize {
-        self.workers.max(1)
     }
 }
 
@@ -509,10 +482,15 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Everything workers share: the published snapshot, both caches, and the
-/// metrics registry. Lives behind `Arc` so the persistent pool threads can
-/// hold it without borrowing the `Server`.
-struct ServerCore {
+/// A query server over versioned database snapshots: reads pin the
+/// currently published snapshot, writes commit copy-on-write and publish
+/// the next one.
+///
+/// A server owns no threads. Each read run of a batch fans out over scoped
+/// threads that are joined before the run returns (see the crate docs'
+/// "Fan-out" section), so construction spawns nothing and dropping a server
+/// has nothing to shut down.
+pub struct Server {
     /// The currently published snapshot. Readers clone the `Arc` out (a
     /// refcount bump under a read lock) and serve from their pinned copy;
     /// the commit path swaps in the next snapshot under the write lock.
@@ -526,14 +504,12 @@ struct ServerCore {
     results: ResultCache,
     metrics: MetricsRegistry,
     slow_log: SlowQueryLog,
+    /// Hardware threads the host exposes, sampled once at construction:
+    /// the ceiling on every read run's fan-out.
+    hardware: usize,
 }
 
-impl ServerCore {
-    /// Pins the currently published snapshot.
-    fn snapshot(&self) -> Arc<Database> {
-        Arc::clone(&self.snapshot.read())
-    }
-
+impl Server {
     /// Commits one mutation statement: plan against the latest snapshot,
     /// apply copy-on-write, publish the result. Serialized by the commit
     /// gate; never blocks readers (they keep their pinned snapshots).
@@ -541,7 +517,7 @@ impl ServerCore {
     /// commit may already have superseded.
     fn commit_one(&self, sql: &str) -> SqlResult<(StatementOutcome, Arc<Database>)> {
         let _gate = self.commit_gate.lock();
-        let base = self.snapshot();
+        let base = self.database();
         let outcome = commit_statement(&base, sql)?;
         let version = outcome.db.version();
         let affected = outcome.rows_affected as u64;
@@ -634,7 +610,7 @@ impl ServerCore {
         }
     }
 
-    /// Runs the canonical execution this worker won admission for, then
+    /// Runs the canonical execution this call won admission for, then
     /// publishes the outcome to the cache and to every waiter.
     fn run_canonical(
         &self,
@@ -699,138 +675,41 @@ impl ServerCore {
     }
 }
 
-/// One read run moving through the worker pool: statements in, outcome
-/// slots out, a shared work-stealing cursor in between, all served against
-/// one pinned snapshot.
-struct BatchState {
-    /// The snapshot every statement of this run executes against, pinned at
-    /// run start. Workers serve from this `Arc`, so a commit publishing a
-    /// newer snapshot mid-run cannot change what the run sees.
-    db: Arc<Database>,
-    stmts: Vec<String>,
-    slots: Vec<Mutex<Option<SqlResult<StatementOutcome>>>>,
-    /// Next unclaimed statement index — the work-stealing cursor.
-    cursor: AtomicUsize,
-    /// Statements fully served (outcome written).
-    completed: AtomicUsize,
-    finished: Mutex<bool>,
-    finished_cv: Condvar,
-}
-
-impl BatchState {
-    fn new(db: Arc<Database>, stmts: Vec<String>) -> Self {
-        let slots = stmts.iter().map(|_| Mutex::new(None)).collect();
-        BatchState {
-            db,
-            stmts,
-            slots,
-            cursor: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            finished: Mutex::new(false),
-            finished_cv: Condvar::new(),
-        }
-    }
-}
-
-/// Serves statements off the batch cursor until it drains, then signals
-/// completion if this worker finished the last statement.
-fn run_batch_tasks(core: &ServerCore, batch: &BatchState) {
-    let n = batch.stmts.len();
-    // A read run holds no writes, so this worker's pin never moves.
-    let mut db = Arc::clone(&batch.db);
-    let mut served = 0usize;
-    core.metrics.worker_started();
-    loop {
-        let i = batch.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let outcome = core.serve_one(&mut db, &batch.stmts[i]);
-        *batch.slots[i].lock() = Some(outcome);
-        served += 1;
-    }
-    core.metrics.worker_finished();
-    if served > 0 && batch.completed.fetch_add(served, Ordering::AcqRel) + served == n {
-        *batch.finished.lock() = true;
-        batch.finished_cv.notify_all();
-    }
-}
-
-/// The job board persistent workers park on between batches.
-#[derive(Default)]
-struct JobBoard {
-    /// Bumped once per published batch so each worker joins a batch at
-    /// most once.
-    generation: u64,
-    batch: Option<Arc<BatchState>>,
-    /// Workers that have reached their parking spot at least once.
-    /// [`Server::new`] blocks on this so a freshly constructed server's
-    /// pool is fully parked — the first batch pays wake-ups, never
-    /// thread-startup CPU.
-    ready: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    job: Mutex<JobBoard>,
-    available: Condvar,
-    /// Signals [`JobBoard::ready`] increments to the constructing thread.
-    parked: Condvar,
-}
-
-fn worker_loop(core: Arc<ServerCore>, pool: Arc<PoolShared>) {
-    let mut seen_generation = 0u64;
-    let mut announced = false;
-    loop {
-        let batch = {
-            let mut job = pool.job.lock();
-            if !announced {
-                // Startup handshake: tell `Server::new` this worker has
-                // reached the board (under the same lock it parks with, so
-                // the announcement and the park are atomic to observers).
-                announced = true;
-                job.ready += 1;
-                pool.parked.notify_all();
+/// Runs `serve(i)` for every `i` in `0..n` on `fanout` threads — the caller
+/// plus `fanout − 1` scoped helpers — and returns the results in index
+/// order. Every thread pulls the next index off one shared cursor (work
+/// stealing, not fixed chunking), so a skewed run keeps every thread busy
+/// until the cursor drains. A panic in `serve` reaches the caller with its
+/// original payload once every thread has stopped, and each thread's
+/// `workers_busy` unit is released on the way out.
+fn fan_out<T: Send>(
+    metrics: &MetricsRegistry,
+    fanout: usize,
+    n: usize,
+    serve: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let drain = || {
+        let _busy = metrics.worker_busy();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
             }
-            loop {
-                if job.shutdown {
-                    return;
-                }
-                if job.generation != seen_generation {
-                    if let Some(batch) = &job.batch {
-                        seen_generation = job.generation;
-                        break Arc::clone(batch);
-                    }
-                }
-                job = pool.available.wait(job);
+            *slots[i].lock() = Some(serve(i));
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..fanout).map(|_| scope.spawn(drain)).collect();
+        drain();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
             }
-        };
-        run_batch_tasks(&core, &batch);
-    }
-}
-
-/// A query server over versioned database snapshots: reads pin the
-/// currently published snapshot, writes commit copy-on-write and publish
-/// the next one.
-///
-/// Construction spawns the persistent worker pool (`workers − 1` threads;
-/// the thread calling [`Server::execute_batch`] is the final worker) and
-/// returns only once every pool thread is parked, so batches pay
-/// wake-ups — never thread spawns or leftover thread-startup work.
-/// Dropping the server shuts the pool down and joins every thread.
-pub struct Server {
-    core: Arc<ServerCore>,
-    pool: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
-    /// Hardware threads the host exposes, sampled once at construction.
-    /// Bounds how many workers a batch makes runnable unless
-    /// [`ServeConfig::oversubscribe`] is set.
-    hardware: usize,
-    /// Serializes batch publication: concurrent `execute_batch` callers
-    /// take turns on the pool (each still executes correctly — the caller
-    /// thread alone can drain its batch), rather than overwriting each
-    /// other's job board entry.
-    batch_gate: Mutex<()>,
+        }
+    });
+    slots.into_iter().map(|slot| slot.into_inner().expect("every index is served")).collect()
 }
 
 impl Server {
@@ -838,75 +717,46 @@ impl Server {
     /// publication from here on: reads pin the currently published version,
     /// writes commit copy-on-write and publish the next one.
     pub fn new(db: Arc<Database>, config: ServeConfig) -> Self {
-        let workers = config.effective_workers();
-        let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // Pool sizing follows the hardware: threads beyond
-        // `available_parallelism` can never run concurrently, so they are
-        // not spawned at all unless oversubscription is requested — the
-        // configured count stays the ceiling the same config reaches on
-        // bigger hardware.
-        let spawned = if config.oversubscribe { workers } else { workers.min(hardware) };
-        let initial_version = db.version();
-        let core = Arc::new(ServerCore {
+        let metrics = MetricsRegistry::new();
+        metrics.set_snapshot_version(db.version());
+        Server {
             snapshot: RwLock::new(db),
             commit_gate: Mutex::new(()),
             config,
             plans: SharedPlanCache::new(),
             results: ResultCache::new(config.result_cache_cap),
-            metrics: MetricsRegistry::new(),
+            metrics,
             slow_log: SlowQueryLog::new(&config),
-        });
-        core.metrics.set_snapshot_version(initial_version);
-        let pool = Arc::new(PoolShared {
-            job: Mutex::new(JobBoard::default()),
-            available: Condvar::new(),
-            parked: Condvar::new(),
-        });
-        let handles: Vec<JoinHandle<()>> = (1..spawned)
-            .map(|_| {
-                let core = Arc::clone(&core);
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || worker_loop(core, pool))
-            })
-            .collect();
-        // Wait for every pool thread to reach its parking spot: a returned
-        // server has a fully parked pool, so the first batch pays wake-ups
-        // rather than absorbing leftover thread-startup work.
-        {
-            let mut job = pool.job.lock();
-            while job.ready < handles.len() {
-                job = pool.parked.wait(job);
-            }
+            hardware: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
-        Server { core, pool, workers: handles, hardware, batch_gate: Mutex::new(()) }
     }
 
     /// Cached statement results currently live (ready entries; in-flight
     /// executions are not counted). Never exceeds
     /// [`ServeConfig::result_cache_cap`].
     pub fn result_cache_len(&self) -> usize {
-        self.core.results.len()
+        self.results.len()
     }
 
     /// Result-cache entries evicted under the LRU cap so far.
     pub fn result_cache_evictions(&self) -> u64 {
-        self.core.results.evictions.load(Ordering::Relaxed)
+        self.results.evictions.load(Ordering::Relaxed)
     }
 
     /// The currently published snapshot, pinned: the returned `Arc` keeps
     /// serving this exact version even as later commits publish newer ones.
     pub fn database(&self) -> Arc<Database> {
-        self.core.snapshot()
+        Arc::clone(&self.snapshot.read())
     }
 
     /// The version of the currently published snapshot.
     pub fn snapshot_version(&self) -> u64 {
-        self.core.snapshot().version()
+        self.database().version()
     }
 
     /// The server configuration.
     pub fn config(&self) -> ServeConfig {
-        self.core.config
+        self.config
     }
 
     /// Opens a session: a lightweight per-client handle that **pins** the
@@ -915,24 +765,24 @@ impl Server {
     /// commits; the session's own writes re-pin it to the snapshot they
     /// published (read-your-writes).
     pub fn session(&self) -> Session<'_> {
-        Session { server: self, db: self.core.snapshot(), stats: ExecStats::default(), executed: 0 }
+        Session { server: self, db: self.database(), stats: ExecStats::default(), executed: 0 }
     }
 
     /// Serves one statement through the shared caches: reads against the
     /// currently published snapshot, writes through the commit path.
     pub fn execute(&self, sql: &str) -> SqlResult<StatementOutcome> {
-        self.core.metrics.record_enqueue(1);
-        self.core.serve_one(&mut self.core.snapshot(), sql)
+        self.metrics.record_enqueue(1);
+        self.serve_one(&mut self.database(), sql)
     }
 
     /// Executes a batch, returning one outcome per statement **in
     /// submission order**. The batch is split into **read runs** —
-    /// maximal stretches of consecutive reads, each served in parallel by
-    /// the worker pool against the snapshot current at run start —
-    /// separated by writes, each committed serially in submission order
-    /// (and visible to every later statement of the batch). This structure
-    /// makes a mixed batch's per-statement results and final snapshot
-    /// identical at any worker count.
+    /// maximal stretches of consecutive reads, each fanned out over scoped
+    /// threads against the snapshot current at run start — separated by
+    /// writes, each committed serially in submission order (and visible to
+    /// every later statement of the batch). This structure makes a mixed
+    /// batch's per-statement results and final snapshot identical at any
+    /// worker count.
     pub fn execute_batch(&self, stmts: &[String]) -> Vec<SqlResult<StatementOutcome>> {
         self.batch_segmented(None, stmts)
     }
@@ -950,16 +800,16 @@ impl Server {
         if stmts.is_empty() {
             return Vec::new();
         }
-        self.core.metrics.record_batch(stmts.len() as u64);
+        self.metrics.record_batch(stmts.len() as u64);
         let mut out = Vec::with_capacity(stmts.len());
         let mut i = 0;
         while i < stmts.len() {
             if is_write_statement(&stmts[i]) {
                 // Read-your-writes: a successful commit re-pins a session to
                 // the snapshot it published; a failed one leaves it alone.
-                let mut unpinned = self.core.snapshot();
+                let mut unpinned = self.database();
                 let target = pin.as_deref_mut().unwrap_or(&mut unpinned);
-                out.push(self.core.serve_one(target, &stmts[i]));
+                out.push(self.serve_one(target, &stmts[i]));
                 i += 1;
             } else {
                 let end = stmts[i..]
@@ -969,79 +819,23 @@ impl Server {
                     .unwrap_or(stmts.len());
                 let db = match pin.as_deref() {
                     Some(p) => Arc::clone(p),
-                    None => self.core.snapshot(),
+                    None => self.database(),
                 };
-                out.extend(self.run_read_segment(db, &stmts[i..end]));
+                let run = &stmts[i..end];
+                // A run holds no writes, so no thread's pin ever moves.
+                let fanout = self.config.workers.max(1).min(run.len()).min(self.hardware);
+                out.extend(fan_out(&self.metrics, fanout, run.len(), |k| {
+                    self.serve_one(&mut Arc::clone(&db), &run[k])
+                }));
                 i = end;
             }
         }
         out
     }
 
-    /// Serves one all-read run with the worker pool against one pinned
-    /// snapshot. With more than one worker the run is published to the
-    /// persistent pool and the calling thread joins in; all workers pull
-    /// statements off a shared work-stealing cursor, so skewed runs stay
-    /// balanced and the output order never depends on scheduling.
-    fn run_read_segment(
-        &self,
-        db: Arc<Database>,
-        stmts: &[String],
-    ) -> Vec<SqlResult<StatementOutcome>> {
-        if stmts.is_empty() {
-            return Vec::new();
-        }
-        // Clamp at admission too: a `ServeConfig { workers: 0, .. }` built
-        // via struct literal (bypassing `with_workers`) serves serially.
-        let workers = self.core.config.effective_workers().min(stmts.len());
-        // How many workers this batch actually makes runnable. Waking a
-        // parked worker the CPU cannot run costs a futex round-trip plus
-        // two context switches and can only slow the batch down, so the
-        // fan-out is bounded by the hardware unless oversubscription is
-        // explicitly requested. A fan-out of one is the serial path — the
-        // caller alone, no job-board traffic at all.
-        let fanout =
-            if self.core.config.oversubscribe { workers } else { workers.min(self.hardware) };
-        if fanout <= 1 || self.workers.is_empty() {
-            let mut db = db;
-            self.core.metrics.worker_started();
-            let outcomes = stmts.iter().map(|sql| self.core.serve_one(&mut db, sql)).collect();
-            self.core.metrics.worker_finished();
-            return outcomes;
-        }
-        let _gate = self.batch_gate.lock();
-        let batch = Arc::new(BatchState::new(db, stmts.to_vec()));
-        {
-            let mut job = self.pool.job.lock();
-            job.generation += 1;
-            job.batch = Some(Arc::clone(&batch));
-        }
-        // Wake exactly the helpers this batch can use; the rest of the
-        // pool stays parked (each consecutive `notify_one` releases one
-        // more parked worker).
-        for _ in 0..(fanout - 1).min(self.workers.len()) {
-            self.pool.available.notify_one();
-        }
-        // The calling thread is the final worker.
-        run_batch_tasks(&self.core, &batch);
-        {
-            let mut finished = batch.finished.lock();
-            while !*finished {
-                finished = batch.finished_cv.wait(finished);
-            }
-        }
-        // Retire the batch so parked workers cannot hold it alive.
-        self.pool.job.lock().batch = None;
-        batch
-            .slots
-            .iter()
-            .map(|slot| slot.lock().take().expect("every batch slot is filled"))
-            .collect()
-    }
-
     /// Distinct statements pinned in the shared plan cache.
     pub fn prepared_statements(&self) -> usize {
-        self.core.plans.len()
+        self.plans.len()
     }
 
     /// A consistent point-in-time view of the serve metrics registry:
@@ -1049,29 +843,19 @@ impl Server {
     /// depth, worker utilization, and per-class latency histograms
     /// (p50/p95/p99 via [`HistogramSnapshot::quantile`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.core.metrics.snapshot()
+        self.metrics.snapshot()
     }
 
     /// [`Server::metrics_snapshot`] rendered as Prometheus-style text.
     pub fn render_metrics(&self) -> String {
-        self.core.metrics.snapshot().render_prometheus()
+        self.metrics.snapshot().render_prometheus()
     }
 
     /// The worst canonical executions recorded so far, slowest first —
     /// at most [`ServeConfig::slow_query_log_cap`] entries, each with the
     /// statement's SQL, rendered plan, and per-operator profile.
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
-        self.core.slow_log.snapshot()
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.pool.job.lock().shutdown = true;
-        self.pool.available.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.slow_log.snapshot()
     }
 }
 
@@ -1094,8 +878,8 @@ impl Session<'_> {
     /// through the commit path (re-pinning on success) — folding its stats
     /// into the session totals.
     pub fn execute(&mut self, sql: &str) -> SqlResult<StatementOutcome> {
-        self.server.core.metrics.record_enqueue(1);
-        let outcome = self.server.core.serve_one(&mut self.db, sql);
+        self.server.metrics.record_enqueue(1);
+        let outcome = self.server.serve_one(&mut self.db, sql);
         self.executed += 1;
         if let Ok(o) = &outcome {
             self.stats.merge(&o.stats);
@@ -1103,7 +887,7 @@ impl Session<'_> {
         outcome
     }
 
-    /// Serves a batch with the server's worker pool — read runs against
+    /// Serves a batch like [`Server::execute_batch`] — read runs against
     /// the session's pinned snapshot, writes committed serially in
     /// submission order with the pin advancing past each — folding every
     /// successful statement's stats into the session totals.
@@ -1185,10 +969,7 @@ mod tests {
         let db = snapshot();
         let stmts = workload();
         for workers in [1, 2, 8] {
-            let server = Server::new(
-                Arc::clone(&db),
-                ServeConfig::default().with_workers(workers).oversubscribed(),
-            );
+            let server = Server::new(Arc::clone(&db), ServeConfig::default().with_workers(workers));
             let outcomes = server.execute_batch(&stmts);
             assert_eq!(outcomes.len(), stmts.len());
             for (sql, outcome) in stmts.iter().zip(&outcomes) {
@@ -1202,6 +983,66 @@ mod tests {
                 assert_eq!(o.stats.cost(), direct_stats.cost(), "workers={workers} sql={sql}");
             }
         }
+    }
+
+    /// Serves `stmts` through the batch fan-out at exactly `threads`
+    /// threads, whatever the host's CPU count.
+    fn fan_out_at(server: &Server, threads: usize, stmts: &[String]) -> Vec<StatementOutcome> {
+        let db = server.database();
+        fan_out(&server.metrics, threads, stmts.len(), |i| {
+            server.serve_one(&mut Arc::clone(&db), &stmts[i]).unwrap()
+        })
+    }
+
+    #[test]
+    fn eight_thread_fan_out_keeps_submission_order_rows_and_cost() {
+        let db = snapshot();
+        let stmts = workload();
+        let server = Server::new(Arc::clone(&db), ServeConfig::default().with_workers(8));
+        let outcomes = fan_out_at(&server, 8, &stmts);
+        assert_eq!(outcomes.len(), stmts.len());
+        for (sql, o) in stmts.iter().zip(&outcomes) {
+            let (direct, direct_stats) =
+                execute_with_stats_mode(&db, sql, PlanMode::serving()).unwrap();
+            assert_eq!(o.result.rows, direct.rows, "sql={sql}");
+            assert_eq!(o.result.columns, direct.columns);
+            assert_eq!(o.stats.cost(), direct_stats.cost(), "sql={sql}");
+        }
+        assert_eq!(server.metrics_snapshot().workers_busy, 0);
+    }
+
+    #[test]
+    fn eight_thread_fan_out_counts_hits_exactly() {
+        let db = snapshot();
+        // 64 submissions of 4 distinct statements, 16 of each.
+        let stmts: Vec<String> = (0..16).flat_map(|_| workload().into_iter().take(4)).collect();
+        for round in 0..5 {
+            let server = Server::new(Arc::clone(&db), ServeConfig::default().with_workers(8));
+            fan_out_at(&server, 8, &stmts);
+            let m = server.metrics_snapshot();
+            assert_eq!(m.statements, 64);
+            assert_eq!(m.result_cache_hits, 64 - 4, "round={round}: statements - distinct");
+        }
+    }
+
+    #[test]
+    fn a_panicking_statement_panics_the_caller_and_frees_every_worker() {
+        let server = Server::new(snapshot(), ServeConfig::default().with_workers(8));
+        let stmts = workload();
+        for bad in [0, 5, stmts.len() - 1] {
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fan_out(&server.metrics, 8, stmts.len(), |i| {
+                    assert_ne!(i, bad, "injected failure");
+                    server.serve_one(&mut server.database(), &stmts[i]).unwrap()
+                })
+            }));
+            let payload = served.expect_err("the panic reaches the caller instead of hanging");
+            let message = payload.downcast_ref::<String>().map(String::as_str).unwrap_or("");
+            assert!(message.contains("injected failure"), "original payload kept: {message}");
+            assert_eq!(server.metrics_snapshot().workers_busy, 0, "bad={bad}");
+        }
+        // The server keeps serving afterwards.
+        assert_eq!(fan_out_at(&server, 8, &stmts).len(), stmts.len());
     }
 
     #[test]
@@ -1229,10 +1070,8 @@ mod tests {
         let distinct = 4u64;
         for workers in [1usize, 2, 4, 8] {
             for round in 0..3 {
-                let server = Server::new(
-                    Arc::clone(&db),
-                    ServeConfig::default().with_workers(workers).oversubscribed(),
-                );
+                let server =
+                    Server::new(Arc::clone(&db), ServeConfig::default().with_workers(workers));
                 server.execute_batch(&stmts);
                 let stats = server.metrics_snapshot();
                 assert_eq!(
@@ -1251,7 +1090,7 @@ mod tests {
                    INNER JOIN loan ON account.account_id = loan.account_id \
                    GROUP BY account.district_id ORDER BY account.district_id";
         let batch: Vec<String> = (0..64).map(|_| sql.to_string()).collect();
-        let server = Server::new(db, ServeConfig::default().with_workers(8).oversubscribed());
+        let server = Server::new(db, ServeConfig::default().with_workers(8));
         let outcomes = server.execute_batch(&batch);
         let fresh = outcomes.iter().filter(|o| !o.as_ref().unwrap().from_result_cache).count();
         assert_eq!(fresh, 1, "exactly one submission executes; 63 are deduped");
@@ -1265,8 +1104,8 @@ mod tests {
 
     #[test]
     fn zero_workers_in_a_struct_literal_serves_serially() {
-        // Regression: only `with_workers` used to clamp, so a zero passed
-        // directly through the struct literal could reach the pool.
+        // A zero passed through the struct literal is clamped where the
+        // fan-out is computed.
         let config = ServeConfig { workers: 0, ..ServeConfig::default() };
         let server = Server::new(snapshot(), config);
         let stmts = workload();
@@ -1346,8 +1185,7 @@ mod tests {
 
     #[test]
     fn errors_keep_their_submission_slots() {
-        let server =
-            Server::new(snapshot(), ServeConfig::default().with_workers(2).oversubscribed());
+        let server = Server::new(snapshot(), ServeConfig::default().with_workers(2));
         let stmts = vec![
             "SELECT COUNT(*) FROM loan".to_string(),
             "SELECT nope FROM nowhere".to_string(),
@@ -1362,8 +1200,7 @@ mod tests {
 
     #[test]
     fn erroring_statements_are_shared_in_flight_but_never_cached() {
-        let server =
-            Server::new(snapshot(), ServeConfig::default().with_workers(8).oversubscribed());
+        let server = Server::new(snapshot(), ServeConfig::default().with_workers(8));
         let bad = "SELECT nope FROM nowhere".to_string();
         let batch: Vec<String> = (0..16).map(|_| bad.clone()).collect();
         let outcomes = server.execute_batch(&batch);

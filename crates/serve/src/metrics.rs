@@ -2,12 +2,12 @@
 //! histograms, with a consistent point-in-time snapshot and a
 //! Prometheus-style text exposition.
 //!
-//! This module is deliberately independent of `seed_sqlengine`: it knows
-//! nothing about statements beyond their text (for classification) and
-//! plain numbers the serving layer feeds it. Everything is lock-free
-//! (`AtomicU64` with relaxed ordering) so recording on the statement hot
-//! path costs a handful of uncontended atomic adds — cheap enough to stay
-//! always-on.
+//! This module knows nothing about statements beyond their text (for
+//! classification, which asks the engine's `is_write_statement` what a
+//! write is) and plain numbers the serving layer feeds it. Everything is
+//! lock-free (`AtomicU64` with relaxed ordering) so recording on the
+//! statement hot path costs a handful of uncontended atomic adds — cheap
+//! enough to stay always-on.
 //!
 //! ## Histogram layout
 //!
@@ -24,6 +24,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+use seed_sqlengine::is_write_statement;
 
 /// Number of power-of-two latency buckets: `2^40` ns ≈ 18 minutes, far
 /// beyond any statement this engine serves; slower outliers clamp into the
@@ -179,8 +181,7 @@ impl StatementClass {
     /// same statement always lands in the same class, which is all a
     /// latency key needs.
     pub fn of(sql: &str) -> StatementClass {
-        let first = sql.split_whitespace().next().unwrap_or("");
-        if ["INSERT", "UPDATE", "DELETE", "CREATE"].iter().any(|k| first.eq_ignore_ascii_case(k)) {
+        if is_write_statement(sql) {
             return StatementClass::Write;
         }
         let upper = sql.to_ascii_uppercase();
@@ -300,7 +301,7 @@ impl MetricsRegistry {
     }
 
     /// Accumulates engine-side cache counters for a canonical (non-cached)
-    /// execution. Plain numbers, so this module stays engine-independent.
+    /// execution. Plain numbers, so this module needs no engine types.
     pub fn record_engine_caches(
         &self,
         plan_hits: u64,
@@ -334,7 +335,7 @@ impl MetricsRegistry {
 
     /// Records one committed mutation — its per-kind row counts and the
     /// snapshot version the commit published. Plain numbers, so this module
-    /// stays engine-independent.
+    /// needs no engine types.
     pub fn record_commit(&self, inserted: u64, updated: u64, deleted: u64, version: u64) {
         self.commits.fetch_add(1, Ordering::Relaxed);
         self.rows_inserted.fetch_add(inserted, Ordering::Relaxed);
@@ -354,14 +355,12 @@ impl MetricsRegistry {
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker began draining work (busy-gauge increment).
-    pub fn worker_started(&self) {
+    /// Counts one worker busy until the returned guard drops — on unwind
+    /// too, so a panicking worker never leaves the gauge raised.
+    #[must_use = "the worker counts as busy only while the guard lives"]
+    pub fn worker_busy(&self) -> WorkerBusy<'_> {
         self.workers_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker finished draining (busy-gauge decrement).
-    pub fn worker_finished(&self) {
-        self.workers_busy.fetch_sub(1, Ordering::Relaxed);
+        WorkerBusy(self)
     }
 
     /// Point-in-time copy of every counter, gauge, and histogram.
@@ -398,6 +397,17 @@ impl MetricsRegistry {
                 })
                 .collect(),
         }
+    }
+}
+
+/// One worker's unit of the `workers_busy` gauge, released on drop; see
+/// [`MetricsRegistry::worker_busy`].
+#[derive(Debug)]
+pub struct WorkerBusy<'a>(&'a MetricsRegistry);
+
+impl Drop for WorkerBusy<'_> {
+    fn drop(&mut self) {
+        self.0.workers_busy.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

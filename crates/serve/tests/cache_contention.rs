@@ -3,9 +3,9 @@
 //! call — including cap 0 (caching off) and caps far below the distinct
 //! statement count.
 //!
-//! These tests drive `Server::execute` from raw threads (not the server's
-//! own pool) so the cache sees genuinely unsynchronized admission traffic
-//! on top of the pool-driven batches the determinism suite covers.
+//! These tests drive `Server::execute` from raw threads (not a batch's
+//! fan-out) so the cache sees genuinely unsynchronized admission traffic
+//! on top of the batches the determinism suite covers.
 
 use std::sync::Arc;
 

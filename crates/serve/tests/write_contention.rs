@@ -54,7 +54,7 @@ const PINNED_READS: &[&str] = &[
 /// on every iteration; the writer's commits must all land.
 #[test]
 fn pinned_sessions_read_stable_rows_through_two_hundred_commits() {
-    let server = Server::new(snapshot(), ServeConfig::default().with_workers(8).oversubscribed());
+    let server = Server::new(snapshot(), ServeConfig::default().with_workers(8));
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..8usize {

@@ -440,8 +440,8 @@ fn arith_batch(op: ArithOp, l: &ColumnArray, r: &ColumnArray) -> SqlResult<Colum
                     ArithOp::Add => Some(x.wrapping_add(y)),
                     ArithOp::Sub => Some(x.wrapping_sub(y)),
                     ArithOp::Mul => Some(x.wrapping_mul(y)),
-                    ArithOp::Div => (y != 0).then(|| x / y),
-                    ArithOp::Mod => (y != 0).then(|| x % y),
+                    ArithOp::Div => (y != 0).then(|| x.wrapping_div(y)),
+                    ArithOp::Mod => (y != 0).then(|| x.wrapping_rem(y)),
                 };
                 match v {
                     Some(v) => {
@@ -1871,6 +1871,8 @@ mod tests {
             Value::Integer(-3),
             Value::Integer(i64::MAX),
             Value::Integer(i64::MAX - 1),
+            Value::Integer(i64::MIN),
+            Value::Integer(-1),
             Value::Real(0.0),
             Value::Real(-0.0),
             Value::Real(2.0),

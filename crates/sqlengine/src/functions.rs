@@ -29,7 +29,10 @@ pub fn eval_scalar_function(name: &str, args: &[Value]) -> SqlResult<Value> {
         "ABS" => {
             expect_arity(name, args, 1)?;
             Ok(match args[0].coerce_numeric() {
-                Value::Integer(i) => Value::Integer(i.abs()),
+                Value::Integer(i) => Value::Integer(
+                    i.checked_abs()
+                        .ok_or_else(|| SqlError::Execution("integer overflow".into()))?,
+                ),
                 Value::Real(r) => Value::Real(r.abs()),
                 _ => Value::Null,
             })
@@ -160,8 +163,10 @@ fn strftime(format: &Value, date: &Value) -> SqlResult<Value> {
     if parts.len() < 3 {
         return Ok(Value::Null);
     }
-    let (year, month, day) = (parts[0], parts[1], &parts[2][..parts[2].len().min(2)]);
-    let out = fmt.replace("%Y", year).replace("%m", month).replace("%d", day);
+    // The first two characters, not bytes: any text column can reach here.
+    let day: String = parts[2].chars().take(2).collect();
+    let (year, month) = (parts[0], parts[1]);
+    let out = fmt.replace("%Y", year).replace("%m", month).replace("%d", &day);
     Ok(Value::Text(out))
 }
 
@@ -185,6 +190,15 @@ mod tests {
             Value::Real(1.23)
         );
         assert_eq!(eval_scalar_function("ABS", &[Value::Integer(-5)]).unwrap(), Value::Integer(5));
+        // SQLite: `ABS(-9223372036854775807 - 1)` is an integer overflow error.
+        assert_eq!(
+            eval_scalar_function("ABS", &[Value::Integer(i64::MIN)]),
+            Err(SqlError::Execution("integer overflow".into()))
+        );
+        assert_eq!(
+            eval_scalar_function("ABS", &[Value::Integer(-i64::MAX)]).unwrap(),
+            Value::Integer(i64::MAX)
+        );
     }
 
     #[test]
@@ -231,6 +245,22 @@ mod tests {
         assert_eq!(
             eval_scalar_function("STRFTIME", &["%Y".into(), "1996-05-13".into()]).unwrap(),
             Value::text("1996")
+        );
+    }
+
+    #[test]
+    fn strftime_day_takes_characters_not_bytes() {
+        assert_eq!(
+            eval_scalar_function("STRFTIME", &["%d".into(), "2020-01-€".into()]).unwrap(),
+            Value::text("€")
+        );
+        assert_eq!(
+            eval_scalar_function("STRFTIME", &["%d".into(), "2020-01-é5x".into()]).unwrap(),
+            Value::text("é5")
+        );
+        assert_eq!(
+            eval_scalar_function("STRFTIME", &["%d".into(), "1996-05-13 10:00".into()]).unwrap(),
+            Value::text("13")
         );
     }
 

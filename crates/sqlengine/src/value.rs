@@ -175,15 +175,16 @@ impl Value {
                         Value::Null
                     } else {
                         // SQLite's `/` on integers is integer division; BIRD gold SQL
-                        // frequently relies on CAST(... AS REAL) to avoid it.
-                        Value::Integer(x / y)
+                        // frequently relies on CAST(... AS REAL) to avoid it. Wrapping,
+                        // like `+ - *`: `i64::MIN / -1` must not panic.
+                        Value::Integer(x.wrapping_div(*y))
                     }
                 }
                 ArithOp::Mod => {
                     if *y == 0 {
                         Value::Null
                     } else {
-                        Value::Integer(x % y)
+                        Value::Integer(x.wrapping_rem(*y))
                     }
                 }
             });

@@ -273,3 +273,34 @@ fn prepared_statement_sees_mutation_between_executions() {
     let (oracle, _) = stmt.execute(&db, PlanMode::NestedLoop).unwrap();
     assert_eq!(rendered(&after.rows), rendered(&oracle.rows));
 }
+
+/// SQL text alone must not panic the engine: `i64::MIN / -1` and
+/// `i64::MIN % -1` wrap like `+ - *` (SQLite returns REAL
+/// 9.223372036854776e18 for the division instead), `ABS(i64::MIN)` is an
+/// integer-overflow error, and STRFTIME slices days by character. Literal
+/// and column operands reach the row and the batch kernels respectively.
+#[test]
+fn overflowing_integers_and_multibyte_dates_never_panic() {
+    let mut db = boundary_db(BATCH_SIZE + 5);
+    db.create_table(TableSchema::new("d", vec![ColumnDef::new("day", DataType::Text)])).unwrap();
+    db.insert("d", vec![Value::text("2020-01-€")]).unwrap();
+    let min = i64::MIN.to_string();
+    for (sql, want) in [
+        ("SELECT (-9223372036854775807 - 1) / -1", min.as_str()),
+        ("SELECT (-9223372036854775807 - 1) % -1", "0"),
+        ("SELECT MIN((v - 9223372036854775807 - 1) / -1) FROM t", min.as_str()),
+        ("SELECT MAX((v - 9223372036854775807 - 1) % (v - 1)) FROM t WHERE v = 0", "0"),
+        ("SELECT STRFTIME('%d', day) FROM d", "€"),
+    ] {
+        assert_eq!(assert_two_way(&db, sql), vec![vec![want.to_string()]], "{sql}");
+    }
+    for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
+        for sql in [
+            "SELECT ABS(-9223372036854775807 - 1)",
+            "SELECT ABS(v - 9223372036854775807 - 1) FROM t",
+        ] {
+            let err = execute_with_stats_mode(&db, sql, mode).unwrap_err();
+            assert!(err.to_string().contains("integer overflow"), "{mode:?} {sql}: {err}");
+        }
+    }
+}
